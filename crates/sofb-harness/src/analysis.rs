@@ -218,41 +218,62 @@ pub fn failover_latency_ms(events: &[TimedEvent<ProtocolEvent>]) -> Option<f64> 
     Some((cert_at - fs_at).as_ns() as f64 / 1e6)
 }
 
+/// The total-order safety check as an online fold: [`push`](Self::push)
+/// each observation as it arrives and the first violating commit is
+/// reported the moment it is seen. [`check_total_order`] is this fold
+/// over a recorded log; the live gateway and the service façades keep one
+/// for the whole session instead of re-reading the log on every poll.
+#[derive(Default)]
+pub struct OrderChecker {
+    /// The digest each sequence number was first committed with.
+    bindings: HashMap<SeqNo, Digest>,
+    /// What each node committed at each sequence number.
+    per_node_seen: HashMap<(usize, SeqNo), Digest>,
+}
+
+impl OrderChecker {
+    /// Audits one observation against everything pushed before it: no two
+    /// processes commit different digests at the same sequence number,
+    /// and no process commits the same sequence number twice. Events
+    /// other than commits pass through.
+    pub fn push(&mut self, ev: &TimedEvent<ProtocolEvent>) -> Result<(), String> {
+        let ProtocolEvent::Committed { o, digest, .. } = &ev.event else {
+            return Ok(());
+        };
+        if let Some(prev) = self.per_node_seen.get(&(ev.node, *o)) {
+            if prev != digest {
+                return Err(format!(
+                    "node {} committed {o:?} twice with different digests",
+                    ev.node
+                ));
+            }
+            return Ok(());
+        }
+        self.per_node_seen.insert((ev.node, *o), *digest);
+        match self.bindings.get(o) {
+            None => {
+                self.bindings.insert(*o, *digest);
+            }
+            Some(prev) if prev == digest => {}
+            Some(prev) => {
+                return Err(format!(
+                    "divergent commit at {o:?}: {} vs {} (node {})",
+                    prev.short_hex(),
+                    digest.short_hex(),
+                    ev.node
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Verifies total-order safety: no two processes commit different digests
 /// at the same sequence number, and no process commits the same sequence
 /// number twice.
 pub fn check_total_order(events: &[TimedEvent<ProtocolEvent>]) -> Result<(), String> {
-    let mut bindings: HashMap<SeqNo, Digest> = HashMap::new();
-    let mut per_node_seen: HashMap<(usize, SeqNo), Digest> = HashMap::new();
-    for ev in events {
-        if let ProtocolEvent::Committed { o, digest, .. } = &ev.event {
-            if let Some(prev) = per_node_seen.get(&(ev.node, *o)) {
-                if prev != digest {
-                    return Err(format!(
-                        "node {} committed {o:?} twice with different digests",
-                        ev.node
-                    ));
-                }
-                continue;
-            }
-            per_node_seen.insert((ev.node, *o), *digest);
-            match bindings.get(o) {
-                None => {
-                    bindings.insert(*o, *digest);
-                }
-                Some(prev) if prev == digest => {}
-                Some(prev) => {
-                    return Err(format!(
-                        "divergent commit at {o:?}: {} vs {} (node {})",
-                        prev.short_hex(),
-                        digest.short_hex(),
-                        ev.node
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
+    let mut checker = OrderChecker::default();
+    events.iter().try_for_each(|ev| checker.push(ev))
 }
 
 /// Verifies exactly-once commit: every request id is bound to exactly one
@@ -431,6 +452,70 @@ mod tests {
         let bad = vec![committed(0, 10, 1, 7, 5), committed(0, 12, 1, 8, 5)];
         let err = check_total_order(&bad).unwrap_err();
         assert!(err.contains("twice"), "unexpected message: {err}");
+    }
+
+    /// The verdict after pushing each event in turn: `Ok` until the first
+    /// violation, that violation from then on — what `check_total_order`
+    /// says about the same prefix.
+    fn pushed_verdicts(events: &[TimedEvent<ProtocolEvent>]) -> Vec<Result<(), String>> {
+        let mut checker = OrderChecker::default();
+        let mut verdict = Ok(());
+        events
+            .iter()
+            .map(|ev| {
+                let pushed = checker.push(ev);
+                if verdict.is_ok() {
+                    verdict = pushed;
+                }
+                verdict.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn order_checker_agrees_with_the_batch_check_on_every_prefix() {
+        let clean = vec![
+            committed(0, 10, 1, 7, 5),
+            committed(1, 12, 1, 7, 5),
+            committed(0, 20, 2, 9, 15),
+            // A node re-announcing what it already committed is an echo.
+            committed(0, 21, 2, 9, 15),
+        ];
+        let divergent = vec![
+            committed(0, 10, 1, 7, 5),
+            committed(1, 12, 1, 8, 5),
+            committed(2, 13, 1, 7, 5),
+        ];
+        let twice = vec![
+            committed(0, 10, 1, 7, 5),
+            committed(0, 12, 1, 8, 5),
+            committed(1, 13, 1, 7, 5),
+        ];
+        for (log, fails_at) in [(&clean, None), (&divergent, Some(2)), (&twice, Some(2))] {
+            let pushed = pushed_verdicts(log);
+            for k in 1..=log.len() {
+                assert_eq!(pushed[k - 1], check_total_order(&log[..k]), "prefix {k}");
+                assert_eq!(pushed[k - 1].is_err(), fails_at.is_some_and(|at| k >= at));
+            }
+        }
+        // Same error text as the batch check always produced.
+        let text = |log: &[TimedEvent<ProtocolEvent>]| pushed_verdicts(log).pop().unwrap();
+        assert_eq!(
+            text(&divergent),
+            Err(format!(
+                "divergent commit at {:?}: {} vs {} (node 1)",
+                SeqNo(1),
+                Digest::new(&[7]).short_hex(),
+                Digest::new(&[8]).short_hex()
+            ))
+        );
+        assert_eq!(
+            text(&twice),
+            Err(format!(
+                "node 0 committed {:?} twice with different digests",
+                SeqNo(1)
+            ))
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,14 +51,14 @@ use sofb_core::sim::ScProtocol;
 use sofb_crypto::scheme::SchemeId;
 use sofb_ct::sim::CtProtocol;
 use sofb_harness::{analysis, Knobs, Protocol, ProtocolEvent, ProtocolKind, WorldBuilder};
-use sofb_proto::ids::{ClientId, SeqNo};
+use sofb_proto::ids::ClientId;
 use sofb_proto::request::{Request, RequestId};
 use sofb_sim::engine::{Actor, Ctx, TimedEvent, TimerRequest, WireSize};
 use sofb_sim::time::{SimDuration, SimTime};
 
 use sofb_obs::{MetricsRegistry, MetricsSnapshot};
 
-use crate::service::{ServiceCore, GATEWAY_NODE};
+use crate::service::{CommitLog, ServiceCore, GATEWAY_NODE};
 
 // ---------------------------------------------------------------------------
 // Wall-clock profiler
@@ -74,9 +74,10 @@ static PROFILING: AtomicBool = AtomicBool::new(false);
 
 /// Turns the live profiler on for the rest of the process: node drive
 /// callbacks (`live.node_drive_ns`), wire-command handling
-/// (`live.handle_line_ns`), commit application (`live.commit_apply_ns`)
-/// and connection accepts (`live.accepts`) start sampling into the
-/// shared registry.
+/// (`live.handle_line_ns`), commit application (`live.commit_apply_ns`),
+/// connection accepts (`live.accepts`) and replies that could not be
+/// written (`live.reply_write_errors`) start sampling into the shared
+/// registry.
 pub fn enable_profiling() {
     PROFILING.store(true, Ordering::Relaxed);
 }
@@ -132,7 +133,10 @@ enum Input<M> {
 pub struct ThreadedHost<M, E> {
     senders: Vec<Sender<Input<M>>>,
     handles: Vec<thread::JoinHandle<()>>,
-    events: std::sync::Arc<Mutex<Vec<TimedEvent<E>>>>,
+    /// The observation sink: each node thread sends what one callback
+    /// emitted as one message, so whoever consumes the stream can block
+    /// on it. Unbounded — a node thread never waits for its observer.
+    events: Receiver<Vec<TimedEvent<E>>>,
 }
 
 impl<M, E> ThreadedHost<M, E>
@@ -167,7 +171,7 @@ where
         F: Fn(usize) -> Box<dyn Actor<Msg = M, Event = E>> + Send + Sync + 'static,
     {
         let epoch = Instant::now();
-        let events = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let (sink, events) = unbounded();
         let factory = std::sync::Arc::new(factory);
         let mut senders: Vec<Sender<Input<M>>> = Vec::with_capacity(n);
         let mut receivers: Vec<Receiver<Input<M>>> = Vec::with_capacity(n);
@@ -179,7 +183,7 @@ where
         let mut handles = Vec::with_capacity(n);
         for (idx, rx) in receivers.into_iter().enumerate() {
             let peers = senders.clone();
-            let sink = events.clone();
+            let sink = sink.clone();
             let build = factory.clone();
             let handle = thread::spawn(move || {
                 let mut actor = build(idx);
@@ -195,7 +199,7 @@ where
                         prof_time("live.node_drive_ns", || $call(&mut ctx));
                         let outputs = ctx.into_outputs();
                         if !local_events.is_empty() {
-                            sink.lock().extend(local_events);
+                            let _ = sink.send(local_events);
                         }
                         for (to, msg) in outputs.sends {
                             if let Some(tx) = peers.get(to) {
@@ -241,8 +245,8 @@ where
                             drive!(|ctx: &mut Ctx<'_, M, E>| actor.on_message(from, msg, ctx));
                         }
                         Ok(Input::Shutdown) => break,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => break,
                     }
                 }
             });
@@ -262,14 +266,23 @@ where
         }
     }
 
-    /// Drains the observations collected so far (the live analog of the
-    /// simulator world's `drain_events`).
+    /// Drains the observations queued so far without blocking (the live
+    /// analog of the simulator world's `drain_events`).
     pub fn drain_events(&self) -> Vec<TimedEvent<E>> {
-        std::mem::take(&mut *self.events.lock())
+        self.events.try_iter().flatten().collect()
     }
 
-    /// Stops all node threads and returns any observations collected
-    /// since the last [`ThreadedHost::drain_events`].
+    /// Blocks until a node thread emits observations or `timeout`
+    /// elapses, then returns them with whatever else is already queued.
+    pub fn wait_events(&self, timeout: Duration) -> Result<Vec<TimedEvent<E>>, RecvTimeoutError> {
+        let mut events = self.events.recv_timeout(timeout)?;
+        events.extend(self.events.try_iter().flatten());
+        Ok(events)
+    }
+
+    /// Stops all node threads and returns any observations not drained
+    /// before: with every thread joined the sink has no sender left, so
+    /// this reads it to its end.
     pub fn shutdown(self) -> Vec<TimedEvent<E>> {
         for tx in &self.senders {
             let _ = tx.send(Input::Shutdown);
@@ -277,9 +290,7 @@ where
         for h in self.handles {
             let _ = h.join();
         }
-        std::sync::Arc::try_unwrap(self.events)
-            .map(|m| m.into_inner())
-            .unwrap_or_default()
+        self.events.try_iter().flatten().collect()
     }
 }
 
@@ -334,19 +345,6 @@ pub struct LiveRun {
     pub state_digest: Vec<u8>,
 }
 
-/// The first-commit order of a (live or simulated) event stream:
-/// per-sequence-number member lists, flattened in sequence order.
-fn commit_order(events: &[TimedEvent<ProtocolEvent>]) -> Vec<RequestId> {
-    let mut per_seq: std::collections::BTreeMap<SeqNo, std::sync::Arc<[RequestId]>> =
-        std::collections::BTreeMap::new();
-    for ev in events {
-        if let ProtocolEvent::Committed { o, request_ids, .. } = &ev.event {
-            per_seq.entry(*o).or_insert_with(|| request_ids.clone());
-        }
-    }
-    per_seq.into_values().flat_map(|ids| ids.to_vec()).collect()
-}
-
 /// A wall-clock replicated service: protocol `P` on a [`ThreadedHost`],
 /// executing state machine `S` through the same `ServiceCore` as the
 /// simulated façade, recording a [`LiveTrace`] as it goes.
@@ -358,7 +356,6 @@ pub struct LiveService<P: Protocol, S: StateMachine> {
     knobs: Knobs,
     epoch: Instant,
     ops: Vec<TraceOp>,
-    events: Vec<TimedEvent<ProtocolEvent>>,
 }
 
 impl<P, S> LiveService<P, S>
@@ -395,7 +392,6 @@ where
             knobs,
             epoch: Instant::now(),
             ops: Vec::new(),
-            events: Vec::new(),
         }
     }
 
@@ -418,8 +414,19 @@ where
         req.id
     }
 
-    /// Drains commit events from the node threads, executes newly
-    /// gap-free batches, audits the replicas, and returns all replies
+    /// Audits and stages `events`; when they admitted a new sequence
+    /// number, executes the newly gap-free batches and audits the
+    /// replicas. A wake-up that carried only echoes of known commits (or
+    /// no commit at all) costs the audit and nothing more. Panics on a
+    /// total-order violation or replica divergence.
+    fn absorb(core: &mut ServiceCore<S>, events: &[TimedEvent<ProtocolEvent>]) {
+        if core.stage(events).expect("live ordering safety") {
+            prof_time("live.commit_apply_ns", || core.execute_ready());
+        }
+    }
+
+    /// Absorbs the observations the node threads have queued — each one
+    /// audited once, against the whole session — and returns all replies
     /// produced so far.
     ///
     /// # Panics
@@ -429,24 +436,21 @@ where
     /// on the live path.
     pub fn poll_replies(&mut self) -> &HashMap<RequestId, Vec<u8>> {
         let new = self.host.drain_events();
-        self.core.stage(&new);
-        self.events.extend(new);
-        analysis::check_total_order(&self.events).expect("live ordering safety");
-        prof_time("live.commit_apply_ns", || self.core.execute_ready());
+        Self::absorb(&mut self.core, &new);
         self.core.replies()
     }
 
-    /// Polls until `id` has a reply or `timeout` elapses.
+    /// Blocks on the node threads' observations until `id` has a reply
+    /// or `timeout` elapses.
     pub fn wait_reply(&mut self, id: RequestId, timeout: Duration) -> Option<Vec<u8>> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(r) = self.poll_replies().get(&id) {
+            if let Some(r) = self.core.replies().get(&id) {
                 return Some(r.clone());
             }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            thread::sleep(Duration::from_millis(5));
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let events = self.host.wait_events(remaining).ok()?;
+            Self::absorb(&mut self.core, &events);
         }
     }
 
@@ -467,14 +471,15 @@ where
         // Flush: give in-flight batches a chance to commit so the trace
         // closes with ops and commits matching.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while self.poll_replies().len() < self.ops.len() && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(10));
+        while self.core.replies().len() < self.ops.len() {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let Ok(events) = self.host.wait_events(remaining) else {
+                break;
+            };
+            Self::absorb(&mut self.core, &events);
         }
         let tail = self.host.shutdown();
-        self.core.stage(&tail);
-        self.events.extend(tail);
-        analysis::check_total_order(&self.events).expect("live ordering safety");
-        self.core.execute_ready();
+        Self::absorb(&mut self.core, &tail);
         let trace = LiveTrace {
             kind: self.kind,
             f: self.knobs.f,
@@ -482,7 +487,7 @@ where
             interval_ns: self.knobs.batching_interval.as_ns(),
             seed: self.knobs.seed,
             ops: self.ops,
-            commit_order: commit_order(&self.events),
+            commit_order: self.core.commit_order(),
         };
         LiveRun {
             trace,
@@ -498,7 +503,7 @@ where
 pub trait LiveKv: Send {
     /// Submits an encoded [`KvOp`] for ordering.
     fn submit(&mut self, op: Vec<u8>) -> RequestId;
-    /// Polls until `id` has a reply or `timeout` elapses.
+    /// Blocks until `id` has a reply or `timeout` elapses.
     fn wait_reply(&mut self, id: RequestId, timeout: Duration) -> Option<Vec<u8>>;
     /// The executed-state digest.
     fn state_digest(&self) -> Vec<u8>;
@@ -771,7 +776,11 @@ fn replay_commit_order<P: Protocol>(trace: &LiveTrace, kind: ProtocolKind) -> Ve
     d.run_until(at + SimDuration::from_secs(30));
     let events = d.world.drain_events();
     analysis::check_total_order(&events).expect("replay ordering safety");
-    commit_order(&events)
+    let mut commits = CommitLog::default();
+    for ev in &events {
+        commits.push(ev);
+    }
+    commits.order()
 }
 
 /// Replays `trace` through the simulator on **all four** protocol
@@ -920,21 +929,29 @@ pub fn serve(
             Ok((stream, _peer)) => {
                 prof_count("live.accepts", 1);
                 stream.set_nonblocking(false)?;
+                stream.set_nodelay(true)?;
                 stream.set_read_timeout(Some(Duration::from_millis(200)))?;
                 let mut reader = BufReader::new(stream.try_clone()?);
                 let mut stream = stream;
-                let mut line = String::new();
+                // Holds a request line until it is complete: a read that
+                // times out mid-line leaves what arrived so far in here.
+                let mut line = Vec::new();
                 loop {
-                    line.clear();
-                    match reader.read_line(&mut line) {
+                    match reader.read_until(b'\n', &mut line) {
                         Ok(0) => break, // connection closed
                         Ok(_) => {
-                            let (resp, shutdown) = prof_time("live.handle_line_ns", || {
-                                handle_line(line.trim(), &mut svc, opts)
+                            let (mut resp, shutdown) = prof_time("live.handle_line_ns", || {
+                                handle_line(String::from_utf8_lossy(&line).trim(), &mut svc, opts)
                             });
+                            line.clear();
                             calls += 1;
-                            let _ = writeln!(stream, "{resp}");
-                            let _ = stream.flush();
+                            // The reply and its newline leave in one write:
+                            // one segment, nothing held back for an ACK.
+                            resp.push('\n');
+                            if stream.write_all(resp.as_bytes()).is_err() {
+                                prof_count("live.reply_write_errors", 1);
+                                break;
+                            }
                             if shutdown {
                                 stop = true;
                                 break;
@@ -967,12 +984,11 @@ pub fn serve(
 /// Sends one request line to a live node and returns the raw reply line
 /// (`ok …` / `err …`).
 pub fn call(addr: SocketAddr, line: &str, timeout: Duration) -> std::io::Result<String> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writeln!(writer, "{line}")?;
-    writer.flush()?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
     let mut reader = BufReader::new(stream);
     let mut reply = String::new();
     reader.read_line(&mut reply)?;

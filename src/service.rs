@@ -25,11 +25,12 @@
 //! the simulated service and a live `sofb serve` node is where the
 //! commit events come from.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use sofb_app::state_machine::{Executor, StateMachine};
-use sofb_harness::analysis;
+use sofb_harness::analysis::OrderChecker;
 use sofb_harness::{Deployment, Protocol, ProtocolEvent, WorldBuilder};
 use sofb_proto::ids::{ClientId, SeqNo};
 use sofb_proto::request::{Request, RequestId};
@@ -40,10 +41,50 @@ use sofb_sim::time::{SimDuration, SimTime};
 /// node range, like an external client co-located with the processes.
 pub(crate) const GATEWAY_NODE: usize = 10_000;
 
+/// The first-commit order of a (live or simulated) event stream, folded
+/// one observation at a time: the member list each sequence number was
+/// first committed with. Execution reads the gap-free prefix out of it
+/// and [`order`](Self::order) flattens it into the run's commit order —
+/// the one fold behind a live run's trace and its simulated replays.
+#[derive(Default)]
+pub(crate) struct CommitLog(BTreeMap<SeqNo, Arc<[RequestId]>>);
+
+impl CommitLog {
+    /// Records `ev` if it is the first commit of its sequence number;
+    /// says whether it was.
+    pub(crate) fn push(&mut self, ev: &TimedEvent<ProtocolEvent>) -> bool {
+        let ProtocolEvent::Committed { o, request_ids, .. } = &ev.event else {
+            return false;
+        };
+        match self.0.entry(*o) {
+            Entry::Vacant(slot) => {
+                slot.insert(request_ids.clone());
+                true
+            }
+            Entry::Occupied(_) => false,
+        }
+    }
+
+    /// The member list `o` was first committed with.
+    fn get(&self, o: SeqNo) -> Option<&Arc<[RequestId]>> {
+        self.0.get(&o)
+    }
+
+    /// Request ids in commit order: batches flattened in sequence-number
+    /// order.
+    pub(crate) fn order(&self) -> Vec<RequestId> {
+        self.0
+            .values()
+            .flat_map(|ids| ids.iter().copied())
+            .collect()
+    }
+}
+
 /// The protocol-independent execution side of a replicated service:
-/// request bookkeeping, gap-free prefix execution on a bank of replica
-/// [`Executor`]s, the cross-replica divergence audit, and the reply
-/// table. Both the simulated [`ReplicatedService`] and the wall-clock
+/// request bookkeeping, the session-long total-order audit, gap-free
+/// prefix execution on a bank of replica [`Executor`]s, the
+/// cross-replica divergence audit, and the reply table. Both the
+/// simulated [`ReplicatedService`] and the wall-clock
 /// [`crate::runtime::LiveService`] drive one of these; only the source
 /// of the [`ProtocolEvent::Committed`] stream differs.
 pub(crate) struct ServiceCore<S> {
@@ -51,9 +92,11 @@ pub(crate) struct ServiceCore<S> {
     next_seq: u64,
     requests: HashMap<RequestId, Request>,
     executors: Vec<Executor<S>>,
-    /// Commits seen but not yet executed (waiting for the gap-free
-    /// prefix).
-    staged: BTreeMap<SeqNo, Arc<[RequestId]>>,
+    /// Total-order audit over every event staged this session.
+    checker: OrderChecker,
+    /// Every sequence number's first commit; the executors' next
+    /// sequence number marks how far into it execution has come.
+    commits: CommitLog,
     replies: HashMap<RequestId, Vec<u8>>,
 }
 
@@ -67,7 +110,8 @@ impl<S: StateMachine> ServiceCore<S> {
             executors: (0..replicas)
                 .map(|_| Executor::new(make_machine()))
                 .collect(),
-            staged: BTreeMap::new(),
+            checker: OrderChecker::default(),
+            commits: CommitLog::default(),
             replies: HashMap::new(),
         }
     }
@@ -81,13 +125,20 @@ impl<S: StateMachine> ServiceCore<S> {
         req
     }
 
-    /// Stages the member lists of any commit events in `events`.
-    pub(crate) fn stage(&mut self, events: &[TimedEvent<ProtocolEvent>]) {
+    /// Audits `events` against everything staged before them and records
+    /// the first commit of each sequence number. `Ok(true)` says a new
+    /// sequence number was admitted, i.e. [`execute_ready`] may have
+    /// work; `Err` is the total-order violation the ordering layer just
+    /// committed.
+    ///
+    /// [`execute_ready`]: Self::execute_ready
+    pub(crate) fn stage(&mut self, events: &[TimedEvent<ProtocolEvent>]) -> Result<bool, String> {
+        let mut admitted = false;
         for ev in events {
-            if let ProtocolEvent::Committed { o, request_ids, .. } = &ev.event {
-                self.staged.entry(*o).or_insert_with(|| request_ids.clone());
-            }
+            self.checker.push(ev)?;
+            admitted |= self.commits.push(ev);
         }
+        Ok(admitted)
     }
 
     /// Executes every newly gap-free batch on all replica executors and
@@ -100,7 +151,7 @@ impl<S: StateMachine> ServiceCore<S> {
     pub(crate) fn execute_ready(&mut self) {
         loop {
             let next = self.executors[0].next_seq();
-            let Some(ids) = self.staged.remove(&next) else {
+            let Some(ids) = self.commits.get(next) else {
                 break;
             };
             let ops: Vec<Vec<u8>> = ids
@@ -110,8 +161,7 @@ impl<S: StateMachine> ServiceCore<S> {
                 .collect();
             if ops.len() != ids.len() {
                 // Should not happen: we are the only client, so we hold
-                // every payload. Put the batch back and stop.
-                self.staged.insert(next, ids);
+                // every payload. Leave the batch where it is and stop.
                 break;
             }
             let mut replica_replies: Option<Vec<Vec<u8>>> = None;
@@ -133,6 +183,11 @@ impl<S: StateMachine> ServiceCore<S> {
     /// All replies produced so far (replica 0's).
     pub(crate) fn replies(&self) -> &HashMap<RequestId, Vec<u8>> {
         &self.replies
+    }
+
+    /// Request ids in the order the ordering layer committed them.
+    pub(crate) fn commit_order(&self) -> Vec<RequestId> {
+        self.commits.order()
     }
 
     /// The executed-state digest (identical across replicas).
@@ -220,12 +275,13 @@ impl<P: Protocol, S: StateMachine> ReplicatedService<P, S> {
     ///
     /// Panics if replicas diverge (which the ordering layer's safety
     /// property rules out — this is the service-level audit of it) or if
-    /// the ordering layer emitted conflicting commits.
+    /// the ordering layer emitted conflicting commits, in this poll or
+    /// across any two polls of the session.
     pub fn poll_replies(&mut self) -> &HashMap<RequestId, Vec<u8>> {
         let events = self.deployment.world.drain_events();
-        analysis::check_total_order(&events).expect("ordering layer safety");
-        self.core.stage(&events);
-        self.core.execute_ready();
+        if self.core.stage(&events).expect("ordering layer safety") {
+            self.core.execute_ready();
+        }
         self.core.replies()
     }
 
@@ -266,7 +322,8 @@ mod tests {
     use sofb_ct::sim::CtProtocol;
     use sofb_harness::FaultSpec;
     use sofb_proto::codec::Encode;
-    use sofb_proto::ids::{ProcessId, SeqNo as Sq};
+    use sofb_proto::ids::{ProcessId, Rank, SeqNo as Sq};
+    use sofb_proto::request::Digest;
     use sofb_proto::topology::Variant;
 
     fn put(k: &str, v: &str) -> Vec<u8> {
@@ -279,6 +336,39 @@ mod tests {
 
     fn get(k: &str) -> Vec<u8> {
         KvOp::Get { key: k.into() }.to_bytes()
+    }
+
+    fn committed(node: usize, o: u64, digest: u8) -> TimedEvent<ProtocolEvent> {
+        TimedEvent {
+            time: SimTime::from_ms(10),
+            node,
+            event: ProtocolEvent::Committed {
+                c: Rank(1),
+                o: Sq(o),
+                digest: Digest::new(&[digest]),
+                requests: 0,
+                request_ids: Vec::new().into(),
+                formed_at_ns: 0,
+            },
+        }
+    }
+
+    /// The audit spans the session, not the slice one poll happened to
+    /// drain: two nodes committing different digests at one sequence
+    /// number are caught even when their commits arrive in two polls.
+    #[test]
+    fn divergence_split_across_two_stage_calls_is_caught() {
+        let mut core = ServiceCore::new(3, KvStore::new);
+        assert_eq!(core.stage(&[committed(0, 1, 7)]), Ok(true));
+        // The echo of a known commit admits nothing new …
+        assert_eq!(core.stage(&[committed(1, 1, 7)]), Ok(false));
+        // … and a different digest for the same slot is the violation.
+        let err = core.stage(&[committed(2, 1, 8)]).unwrap_err();
+        assert!(
+            err.contains("divergent commit"),
+            "unexpected message: {err}"
+        );
+        assert_eq!(core.stage(&[committed(0, 2, 9)]), Ok(true));
     }
 
     #[test]

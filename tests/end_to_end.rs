@@ -328,3 +328,138 @@ fn live_trace_cross_validates_against_all_four_simulated_variants() {
         "tampered commit order must fail cross-validation"
     );
 }
+
+/// A live SC node behind `runtime::serve` on an ephemeral port.
+fn live_node() -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<runtime::ServeOutcome>,
+) {
+    let svc = spawn_live_kv(ProtocolKind::Sc, &live_knobs(), 1.0);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || {
+        runtime::serve(listener, svc, &ServeOptions::default()).expect("serve loop")
+    });
+    (addr, server)
+}
+
+/// Shuts the node down over its own protocol and returns what it recorded.
+fn stop_live_node(
+    addr: std::net::SocketAddr,
+    server: std::thread::JoinHandle<runtime::ServeOutcome>,
+) -> runtime::ServeOutcome {
+    let bye = runtime::call(addr, "shutdown", Duration::from_secs(20)).expect("shutdown call");
+    assert_eq!(bye, "ok bye");
+    server.join().expect("server thread")
+}
+
+#[test]
+fn serve_keeps_a_line_that_straddles_the_read_timeout() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, server) = live_node();
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.set_nodelay(true).expect("nodelay");
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    // `put k v`, cut mid-line for longer than the server's 200 ms read
+    // timeout: the first half must still be there when the rest arrives.
+    conn.write_all(b"put 6b ").expect("first half");
+    std::thread::sleep(Duration::from_millis(350));
+    conn.write_all(b"76\n").expect("second half");
+    let mut reply = String::new();
+    BufReader::new(&conn)
+        .read_line(&mut reply)
+        .expect("reply line");
+    assert_eq!(reply, "ok 4f4b\n");
+    drop(conn);
+    let outcome = stop_live_node(addr, server);
+    assert_eq!(outcome.run.executed_ops, 1);
+}
+
+#[test]
+fn serve_sends_each_reply_as_one_segment() {
+    use std::io::{Read, Write};
+    let (addr, server) = live_node();
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut buf = [0u8; 4096];
+    for i in 0..20u8 {
+        let line = runtime::wire_line("put", &["k".into(), format!("v{i}")]);
+        conn.write_all(format!("{line}\n").as_bytes())
+            .expect("request");
+        // One read, not a read loop: the whole reply — newline included —
+        // has to arrive together, or a client pays a delayed-ACK round
+        // for the terminator of every reply.
+        let n = conn.read(&mut buf).expect("reply");
+        assert_eq!(
+            std::str::from_utf8(&buf[..n]),
+            Ok("ok 4f4b\n"),
+            "request {i}: first read returned {n} bytes"
+        );
+    }
+    drop(conn);
+    let outcome = stop_live_node(addr, server);
+    assert_eq!(outcome.calls, 21);
+    assert_eq!(outcome.run.executed_ops, 20);
+}
+
+#[test]
+fn serve_survives_a_client_that_closes_without_reading() {
+    use std::io::Write;
+    let (addr, server) = live_node();
+    let t = Duration::from_secs(20);
+    {
+        let mut rude = std::net::TcpStream::connect(addr).expect("connect");
+        let line = runtime::wire_line("put", &["k".into(), "v".into()]);
+        rude.write_all(format!("{line}\n").as_bytes())
+            .expect("request");
+        // Gone before the reply is written: whatever the server's write
+        // meets, it ends that connection and nothing else.
+    }
+    let get = runtime::call(addr, &runtime::wire_line("get", &["k".into()]), t).expect("get call");
+    assert_eq!(runtime::decode_reply(&get).as_deref(), Ok(&b"v"[..]));
+    let outcome = stop_live_node(addr, server);
+    let run = &outcome.run;
+    assert_eq!(
+        (
+            run.trace.ops.len(),
+            run.trace.commit_order.len(),
+            run.executed_ops
+        ),
+        (2, 2, 2),
+        "submitted / committed / executed"
+    );
+}
+
+#[test]
+fn wait_reply_honours_its_deadline_while_blocked() {
+    use sofbyz::proto::ids::ClientId;
+    use sofbyz::proto::request::RequestId;
+    let mut svc = spawn_live_kv(ProtocolKind::Sc, &live_knobs(), 1.0);
+    let never_submitted = RequestId {
+        client: ClientId(0),
+        seq: 9_999,
+    };
+    let timeout = Duration::from_millis(60);
+    let t0 = std::time::Instant::now();
+    assert_eq!(svc.wait_reply(never_submitted, timeout), None);
+    let waited = t0.elapsed();
+    assert!(
+        waited >= timeout && waited < timeout + Duration::from_millis(50),
+        "waited {waited:?} on a {timeout:?} timeout"
+    );
+    // The wait consumed nothing it should not have: the node still serves.
+    let id = svc.submit(
+        KvOp::Put {
+            key: b"k".to_vec(),
+            value: b"v".to_vec(),
+        }
+        .to_bytes(),
+    );
+    assert_eq!(
+        svc.wait_reply(id, Duration::from_secs(20)).as_deref(),
+        Some(&b"OK"[..])
+    );
+    assert_eq!(svc.shutdown().executed_ops, 1);
+}

@@ -84,6 +84,53 @@ fn identical_workload_totally_ordered_on_all_four_variants() {
     }
 }
 
+/// The online fold and the batch check are one implementation: pushed
+/// event by event, `OrderChecker` says about every prefix of a recorded
+/// log what `check_total_order` says about that prefix — on the clean log
+/// of each variant, and on the same log with one commit's digest
+/// corrupted half-way through (same verdict, same text, from the same
+/// event on).
+#[test]
+fn order_checker_matches_the_batch_check_on_every_prefix_of_all_four_variants() {
+    fn short<P: Protocol>() -> WorldBuilder<P> {
+        WorldBuilder::new(1).seed(11).client(workload(1))
+    }
+    let logs: [(&str, Vec<TimedEvent<ProtocolEvent>>); 4] = [
+        ("SC", run(short::<ScProtocol>().variant(Variant::Sc), 2)),
+        ("SCR", run(short::<ScProtocol>().variant(Variant::Scr), 2)),
+        ("BFT", run(short::<BftProtocol>(), 2)),
+        ("CT", run(short::<CtProtocol>(), 2)),
+    ];
+    for (name, clean) in logs {
+        let mut corrupted = clean.clone();
+        let commits: Vec<usize> = (0..clean.len())
+            .filter(|&i| matches!(clean[i].event, ProtocolEvent::Committed { .. }))
+            .collect();
+        assert!(commits.len() >= 8, "{name}: {} commits", commits.len());
+        let victim = commits[commits.len() / 2];
+        if let ProtocolEvent::Committed { digest, .. } = &mut corrupted[victim].event {
+            *digest = sofbyz::proto::request::Digest::new(b"not what the others committed");
+        }
+        for (label, log) in [("clean", &clean), ("corrupted", &corrupted)] {
+            let mut checker = analysis::OrderChecker::default();
+            let mut verdict = Ok(());
+            for (k, ev) in log.iter().enumerate() {
+                let pushed = checker.push(ev);
+                if verdict.is_ok() {
+                    verdict = pushed;
+                }
+                assert_eq!(
+                    verdict,
+                    analysis::check_total_order(&log[..=k]),
+                    "{name} {label}: prefix {}",
+                    k + 1
+                );
+            }
+            assert_eq!(verdict.is_err(), label == "corrupted", "{name} {label}");
+        }
+    }
+}
+
 #[test]
 fn poisson_clients_run_on_every_variant() {
     let spec = workload(2);
