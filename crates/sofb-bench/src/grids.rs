@@ -19,63 +19,21 @@ use crate::experiments::{bench_scenario, failover_scenario, sharded_scenario, Wi
 /// The fixed scheme most studies use.
 pub const SCHEME: SchemeId = SchemeId::Md5Rsa1024;
 
-// --- bench_protocols ---------------------------------------------------
+// --- shared posture ----------------------------------------------------
 
-/// `bench_protocols` flat section: resilience.
-pub const BENCH_F: u32 = 2;
-/// `bench_protocols` flat section: batching interval (ms).
+/// The batching interval the sharded studies fix (ms).
 pub const BENCH_INTERVAL_MS: u64 = 100;
-/// `bench_protocols`: the fixed world seed.
+/// The world seed the sharded studies fix.
 pub const BENCH_SEED: u64 = 7;
-/// `bench_protocols` flat section: measurement window.
-pub const BENCH_WINDOW: Window = Window {
-    warmup_s: 2,
-    run_s: 10,
-    drain_s: 15,
-};
-/// `bench_protocols` sharded section: swept shard counts.
-pub const BENCH_SHARD_COUNTS: [usize; 2] = [1, 2];
-/// `bench_protocols` sharded section: resilience (keeps the 2-shard
-/// world at 8 processes).
+/// `million_clients`: resilience (keeps the 2-shard world at 8
+/// processes).
 pub const BENCH_SHARD_F: u32 = 1;
-/// `bench_protocols` sharded section: per-client offered load per shard.
-pub const BENCH_SHARD_RATE_PER_CLIENT: f64 = 100.0;
-/// `bench_protocols` sharded section: measurement window.
+/// `million_clients`: measurement window.
 pub const BENCH_SHARD_WINDOW: Window = Window {
     warmup_s: 2,
     run_s: 8,
     drain_s: 10,
 };
-
-/// The flat `BENCH_protocols.json` grid: one fixed-seed point per
-/// variant.
-pub fn bench_flat() -> SweepGrid {
-    SweepGrid::new(bench_scenario(
-        ProtocolKind::Sc,
-        BENCH_F,
-        SCHEME,
-        BENCH_INTERVAL_MS,
-        BENCH_SEED,
-        BENCH_WINDOW,
-    ))
-    .axis(Axis::kinds(&ProtocolKind::ALL))
-}
-
-/// The sharded `BENCH_protocols.json` grid: SC at fixed per-shard load,
-/// 1 vs 2 ordering groups.
-pub fn bench_sharded() -> SweepGrid {
-    SweepGrid::new(sharded_scenario(
-        ProtocolKind::Sc,
-        1,
-        BENCH_SHARD_F,
-        SCHEME,
-        BENCH_INTERVAL_MS,
-        BENCH_SHARD_RATE_PER_CLIENT,
-        BENCH_SEED,
-        BENCH_SHARD_WINDOW,
-    ))
-    .axis(Axis::shard_counts(&BENCH_SHARD_COUNTS))
-}
 
 // --- figures 4 and 5 ---------------------------------------------------
 
@@ -334,8 +292,8 @@ pub const MILLION_WORLD_WORKERS: [usize; 2] = [1, 2];
 /// The `million_clients` grid: a 2-shard world carrying 10⁵ aggregated
 /// Poisson clients (200 req/s per shard), swept over world-worker
 /// counts. The traces are bit-identical along the axis; only the wall
-/// clock moves — the grid backing the parallel-scaling section of
-/// `BENCH_protocols.json`.
+/// clock moves — `benchmark/`'s `sim_sharded` workload times that
+/// ratio on the same posture (`sofb-harness.parallel_speedup`).
 pub fn million_clients() -> SweepGrid {
     SweepGrid::new(
         bench_scenario(

@@ -17,7 +17,11 @@
 //! | `msg_counts`| Fig. 3 discussion | messages per committed batch, SC vs BFT vs CT |
 //! | `shard_sweep` | beyond the paper | aggregate throughput and p99 vs shard count, all variants |
 //! | `scenario_sweeps` | beyond the paper | multi-client saturation (f = 2..4) and GST-sensitivity grids |
-//! | `bench_protocols` | perf trajectory | `BENCH_protocols.json` smoke + the CI `--check` gate |
+//!
+//! The perf-trajectory baselines (`BENCH_protocols.json`,
+//! `BENCH_protocols_sharded.json`) have no binary here: they are
+//! `sofb run specs/bench_protocols{,_sharded}.scn --out/--check`.
+//! Host time is measured by `benchmark/` alone.
 //!
 //! Run with `--release`; each figure takes a few minutes of wall time.
 

@@ -1,12 +1,13 @@
 //! The `specs/` directory is not documentation — it is the same grids.
 //!
-//! Every committed `.scn` file must expand to *bit-identical* cells
-//! (labels, seeds, fully patched scenarios) as its in-code constructor
-//! in `sofb_bench::grids`; and for the cheap grids the executed
-//! spec-driven `GridReport` must equal the in-code grid's report exactly
-//! (measurement values compared at full precision, host wall time
-//! excluded). A spec drifting from its grid — or a grid from its spec —
-//! fails here, not in a figure three PRs later.
+//! Every committed `.scn` file with an in-code constructor in
+//! `sofb_bench::grids` must expand to *bit-identical* cells (labels,
+//! seeds, fully patched scenarios) as that constructor; and for the
+//! cheap grids the executed spec-driven `GridReport` must equal the
+//! in-code grid's report exactly (measurement values compared at full
+//! precision, host wall time excluded). A spec drifting from its grid —
+//! or a grid from its spec — fails here, not in a figure three PRs
+//! later.
 
 use sofb_bench::grids;
 use sofb_spec::Spec;
@@ -37,16 +38,6 @@ fn assert_cells_eq(name: &str, spec_grid: &SweepGrid, code_grid: &SweepGrid) {
 fn assert_spec_matches(name: &str, code_grid: &SweepGrid) {
     let spec = load(name);
     assert_cells_eq(name, &spec.grid(false).expect("spec lowers"), code_grid);
-}
-
-#[test]
-fn bench_protocols_spec_matches_in_code_grid() {
-    assert_spec_matches("bench_protocols.scn", &grids::bench_flat());
-}
-
-#[test]
-fn bench_protocols_sharded_spec_matches_in_code_grid() {
-    assert_spec_matches("bench_protocols_sharded.scn", &grids::bench_sharded());
 }
 
 #[test]
@@ -116,11 +107,12 @@ fn gst_spec_matches_in_code_grids() {
 
 // --- executed-report equivalence (the acceptance gate) -----------------
 //
-// Cell equality already proves the grids are the same data; these three
+// Cell equality already proves the grids are the same data; these two
 // run both sides end to end and compare the measured reports, pinning
 // the whole spec → parse → lower → run → report pipeline. Chosen for
-// run cost: the two-point sharded bench grid and the smoke-sized
-// scenario_sweeps grids.
+// run cost: the smoke-sized scenario_sweeps grids. (The two
+// bench_protocols specs have no in-code twin: their executed output is
+// pinned by the committed BENCH_protocols*.json baselines, tests/cli.rs.)
 
 fn assert_runs_identically(name: &str, spec_grid: &SweepGrid, code_grid: &SweepGrid) {
     let spec_report = run_grid(spec_grid, 2).expect("spec grid runs");
@@ -128,16 +120,6 @@ fn assert_runs_identically(name: &str, spec_grid: &SweepGrid, code_grid: &SweepG
     assert!(
         spec_report.same_results(&code_report),
         "{name}: spec-driven report differs from the in-code grid's"
-    );
-}
-
-#[test]
-fn bench_sharded_spec_runs_identically() {
-    let spec = load("bench_protocols_sharded.scn");
-    assert_runs_identically(
-        "bench_protocols_sharded.scn",
-        &spec.grid(false).unwrap(),
-        &grids::bench_sharded(),
     );
 }
 

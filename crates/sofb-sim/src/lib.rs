@@ -64,5 +64,5 @@ pub mod time;
 pub use cpu::CpuModel;
 pub use delay::{DelayModel, LinkModel, NetworkModel};
 pub use engine::{Actor, Ctx, NodeStats, TimedEvent, WireSize, World};
-pub use metrics::{EngineCounters, Histogram, HostCounters, Series, SeriesPoint};
+pub use metrics::{EngineCounters, Histogram, Series, SeriesPoint};
 pub use time::{SimDuration, SimTime};

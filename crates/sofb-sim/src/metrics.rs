@@ -296,8 +296,7 @@ pub fn render_table(x_label: &str, y_label: &str, series: &[Series]) -> String {
 /// Every field is a function of the seed and the scenario alone —
 /// identical across hosts and safe to compare bit-for-bit in
 /// determinism tests. Host-dependent *rates* (events per wall-second,
-/// …) are derived by pairing these with host measurements in
-/// [`HostCounters`].
+/// …) are `benchmark/`'s business, which pairs these with wall time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Actor callbacks dispatched over the run.
@@ -325,52 +324,6 @@ impl EngineCounters {
         self.heap_pushes += other.heap_pushes;
         self.arena_high_water += other.arena_high_water;
         self.sim_ns = self.sim_ns.max(other.sim_ns);
-    }
-}
-
-/// Host-performance summary of one run or run set: deterministic
-/// [`EngineCounters`] paired with wall-clock and allocator
-/// measurements from the machine that executed it.
-///
-/// The derived rates — `events/sec`, `sim-seconds/wall-second`,
-/// `allocs/event` — are machine-dependent by construction: report
-/// them, never gate a determinism check on them.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HostCounters {
-    /// The deterministic counters of the measured run(s).
-    pub engine: EngineCounters,
-    /// Wall-clock time spent, ns.
-    pub wall_ns: u64,
-    /// Heap allocations performed while running (0 when no counting
-    /// allocator is installed).
-    pub allocations: u64,
-}
-
-impl HostCounters {
-    /// Callbacks dispatched per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.engine.events_processed as f64 / (self.wall_ns as f64 / 1e9)
-    }
-
-    /// Simulated seconds advanced per wall-clock second (the simulator's
-    /// real-time speedup).
-    pub fn sim_per_wall(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.engine.sim_ns as f64 / self.wall_ns as f64
-    }
-
-    /// Heap allocations per dispatched callback (0 in a zero-alloc
-    /// steady state, or when no counting allocator is installed).
-    pub fn allocs_per_event(&self) -> f64 {
-        if self.engine.events_processed == 0 {
-            return 0.0;
-        }
-        self.allocations as f64 / self.engine.events_processed as f64
     }
 }
 

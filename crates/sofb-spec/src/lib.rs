@@ -48,8 +48,8 @@
 //! building exactly the same labelled axis patches the in-code sweeps
 //! build (the spec-equivalence tests pin bit-identical expansion). The
 //! [`report`] module renders an executed grid as deterministic JSON and
-//! re-checks it at 1e-9 — the same diff gate `BENCH_protocols.json`
-//! uses.
+//! re-checks it at 1e-9 — the diff gate the committed
+//! `BENCH_protocols{,_sharded}.json` baselines sit behind.
 //!
 //! This crate sits below the protocol crates on purpose: it knows how to
 //! *describe* and *lower* an experiment, not how to run one. Kind →

@@ -1,7 +1,7 @@
 //! The diffable `GridReport` JSON emitter and its 1e-9 check gate —
-//! the same style and contract as `BENCH_protocols.json`: a fixed-width
-//! deterministic rendering, with host wall time carried for humans but
-//! excluded from comparisons.
+//! the writer and the checker of `BENCH_protocols{,_sharded}.json`: a
+//! fixed-width deterministic rendering, with host wall time carried for
+//! humans but excluded from comparisons.
 
 use std::fmt::Write as _;
 
@@ -13,7 +13,7 @@ pub const TOLERANCE: f64 = 1e-9;
 /// What the emitter stamps into the report header.
 #[derive(Clone, Copy, Debug)]
 pub struct ReportMeta<'a> {
-    /// The spec file the grid came from (as given on the command line).
+    /// The spec file the grid came from (`sofb run` passes its file name).
     pub spec: &'a str,
     /// The spec's `[meta]` title, if any.
     pub title: Option<&'a str>,
@@ -193,10 +193,16 @@ fn is_wall(line: &str) -> bool {
     line.trim_start().starts_with("\"wall_ms\":")
 }
 
+/// The `{…}` of a `"labels": {…},` line — what names a point in a drift.
+fn point_labels(line: &str) -> Option<&str> {
+    let rest = line.trim().strip_prefix("\"labels\": ")?;
+    Some(rest.trim_end_matches(','))
+}
+
 /// Compares a regenerated report against a committed one: metric lines
 /// numerically within [`TOLERANCE`] (`null` matches `null`), every other
 /// line textually, `wall_ms` excluded. Returns the drift list on
-/// failure.
+/// failure, each drift prefixed with the labels of the point it sits in.
 pub fn check(committed: &str, regenerated: &str) -> Result<(), String> {
     let want: Vec<&str> = committed.lines().filter(|l| !is_wall(l)).collect();
     let got: Vec<&str> = regenerated.lines().filter(|l| !is_wall(l)).collect();
@@ -211,14 +217,20 @@ pub fn check(committed: &str, regenerated: &str) -> Result<(), String> {
         ));
     }
     let mut drifts = Vec::new();
+    // The committed report's last `"labels":` line: the point a drift
+    // below it belongs to (none while still in the header).
+    let mut labels = None;
     for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+        labels = point_labels(w).or(labels);
+        let point = || labels.map_or(String::new(), |l| format!("point {l} "));
         match (metric_value(w), metric_value(g)) {
             (Some((wk, wv)), Some((gk, gv))) if wk == gk => {
                 let same = (wv.is_nan() && gv.is_nan()) || (wv - gv).abs() <= TOLERANCE;
                 if !same {
                     drifts.push(format!(
-                        "  line {}: {wk}: committed {wv} vs regenerated {gv}",
-                        i + 1
+                        "  line {}: {}{wk}: committed {wv} vs regenerated {gv}",
+                        i + 1,
+                        point()
                     ));
                 }
             }
@@ -227,8 +239,9 @@ pub fn check(committed: &str, regenerated: &str) -> Result<(), String> {
                 // labels, seeds, shapes, counts.
                 if w.trim_end() != g.trim_end() {
                     drifts.push(format!(
-                        "  line {}: committed `{}` vs regenerated `{}`",
+                        "  line {}: {}committed `{}` vs regenerated `{}`",
                         i + 1,
+                        point(),
                         w.trim(),
                         g.trim()
                     ));

@@ -14,8 +14,7 @@ fn main() {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            // --check drift and spec/scenario defects exit 1, like the
-            // bench_protocols gate.
+            // --check drift and spec/scenario defects exit 1.
             exit(1);
         }
     }

@@ -128,7 +128,7 @@ fn list_validates_the_committed_spec_directory() {
 fn report_check_accepts_identity_and_rejects_drift() {
     // A tiny grid run end to end through the emitter: the rendered
     // report must check against itself, and a perturbed metric must be
-    // rejected with the drifted key named.
+    // rejected with the drifted key and the point's labels named.
     let spec_text = "[scenario]\n\
                      kind = CT\n\
                      f = 1\n\
@@ -138,7 +138,10 @@ fn report_check_accepts_identity_and_rejects_drift() {
                      run_s = 2\n\
                      drain_s = 2\n\
                      [client]\n\
-                     rate = 50\n";
+                     rate = 50\n\
+                     [axis]\n\
+                     field = seed\n\
+                     values = 42, 43\n";
     let spec = sofbyz::spec::Spec::parse(spec_text).unwrap();
     let grid = spec.grid(false).unwrap();
     let report = sofbyz::scenario::run_grid(&grid, 1).unwrap();
@@ -156,12 +159,57 @@ fn report_check_accepts_identity_and_rejects_drift() {
 
     let drifted = rendered.replacen("\"msgs_per_batch\": ", "\"msgs_per_batch\": 9", 1);
     let err = report::check(&rendered, &drifted).unwrap_err();
-    assert!(err.contains("msgs_per_batch"), "{err}");
+    assert!(
+        err.contains("point {\"seed\": \"42\"} msgs_per_batch: committed"),
+        "{err}"
+    );
 
-    // Structural drift (a label change) is also a failure.
-    let relabeled = rendered.replacen("\"seed\": 42", "\"seed\": 43", 1);
-    let err = report::check(&rendered, &relabeled).unwrap_err();
-    assert!(err.contains("seed"), "{err}");
+    // Structural drift (a seed change) is also a failure — and a drift
+    // in the second point is named by the second point's labels.
+    let reseeded = rendered.replacen("\"seed\": 43,", "\"seed\": 44,", 1);
+    let err = report::check(&rendered, &reseeded).unwrap_err();
+    assert!(
+        err.contains("point {\"seed\": \"43\"} committed `\"seed\": 43,`"),
+        "{err}"
+    );
+    assert!(!err.contains("{\"seed\": \"42\"}"), "{err}");
+}
+
+/// The two committed perf-trajectory baselines and the specs they are
+/// the `sofb run … --out` output of.
+const BENCH_BASELINES: [(&str, &str); 2] = [
+    ("specs/bench_protocols.scn", "BENCH_protocols.json"),
+    (
+        "specs/bench_protocols_sharded.scn",
+        "BENCH_protocols_sharded.json",
+    ),
+];
+
+fn assert_checks_clean(spec: &str, baseline_rel: &str) {
+    let baseline = repo_path(baseline_rel);
+    let out = execute(&args(&["run", spec, "--check", &baseline]))
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
+    assert!(out.contains("check passed"), "{spec}: {out}");
+}
+
+#[test]
+fn committed_bench_baselines_regenerate() {
+    // The 1e-9 sim gate, in tier-1: each spec's executed grid must
+    // re-render to its committed baseline (wall time excluded).
+    for (spec_rel, baseline_rel) in BENCH_BASELINES {
+        assert_checks_clean(&repo_path(spec_rel), baseline_rel);
+    }
+}
+
+#[test]
+fn run_check_is_blind_to_how_the_spec_path_was_typed() {
+    // One committed report checks clean whether the spec is named by a
+    // bare relative path, a `./` path (tests run from the package root)
+    // or an absolute one: the header carries the file name only.
+    let (spec_rel, baseline_rel) = BENCH_BASELINES[1];
+    assert_checks_clean(spec_rel, baseline_rel);
+    assert_checks_clean(&format!("./{spec_rel}"), baseline_rel);
+    assert_checks_clean(&repo_path(spec_rel), baseline_rel);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! The contract has three parts. (1) An inactive window is a perfect
 //! no-op: the engine draws no RNG for it, so the trace is bit-identical
 //! to the fault-free run — which is what keeps every golden trace and
-//! `bench_protocols --check` stable. (2) An active window changes the
+//! the `BENCH_protocols*.json` gate stable. (2) An active window changes the
 //! schedule *deterministically*: same scenario, same trace, every time.
 //! (3) Every variant stays safe under both faults (the run's built-in
 //! total-order check stays on), flat or sharded-parallel.
