@@ -20,11 +20,7 @@ use sofb_core::events::ScEvent;
 use crate::messages::BftMsg;
 use crate::process::{BftConfig, BftProcess};
 
-pub use sofb_harness::{ShardLoad, ShardRouter, ShardedDeployment, ShardedWorldBuilder};
-
-/// A sharded BFT deployment: `S` independent BFT ordering groups in one
-/// world, assembled by [`ShardedWorldBuilder`].
-pub type ShardedBftWorld = ShardedDeployment<BftProtocol>;
+pub use sofb_harness::{ShardLoad, ShardRouter};
 
 /// Scripted BFT misbehaviours expressible through the uniform
 /// [`FaultSpec`] plan.

@@ -28,14 +28,8 @@ use crate::process::ScProcess;
 // so historical call sites keep compiling. New code should name the
 // harness path (or go through `Scenario`).
 pub use sofb_harness::{
-    Arrival, ClientActor, ClientSpec, RouterConfigError, ShardLoad, ShardRouter, ShardedDeployment,
-    ShardedWorldBuilder,
+    Arrival, ClientActor, ClientSpec, RouterConfigError, ShardLoad, ShardRouter,
 };
-
-/// A sharded SC/SCR deployment: `S` independent SC ordering groups in
-/// one world (choose SC vs SCR via
-/// [`ShardedWorldBuilder::variant`]).
-pub type ShardedScWorld = ShardedDeployment<ScProtocol>;
 
 /// The SC/SCR protocol, as hosted by the generic harness.
 ///

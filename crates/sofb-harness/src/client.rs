@@ -58,9 +58,9 @@ impl ClientSpec {
     }
 }
 
-/// Where a client's requests go: one flat ordering group, one of many
-/// shards picked per request, or one shard's slice of a multi-shard
-/// schedule (parallel worlds, where each shard is its own engine).
+/// Where a client's requests go: one flat ordering group, or one
+/// shard's slice of a multi-shard schedule (each shard is its own
+/// engine).
 #[derive(Clone, Debug)]
 pub(crate) enum Destinations {
     /// The flat world: every request is multicast to nodes `0..n`.
@@ -68,23 +68,12 @@ pub(crate) enum Destinations {
         /// Number of order processes.
         n: usize,
     },
-    /// A sharded world: each request is routed to one ordering group and
-    /// multicast to that group's node range.
-    Sharded {
-        /// The node-index range of every shard, in shard order.
-        ranges: Vec<Range<usize>>,
-        /// Key-based routing policy ([`ShardLoad::Global`] mode).
-        router: ShardRouter,
-        /// How the spec's rate maps onto the shard set.
-        load: ShardLoad,
-    },
     /// One shard's view of a multi-shard client: the actor walks the
     /// full multi-shard request schedule (so sequence numbers and
-    /// routing match the shared-world client exactly) but materializes
-    /// only the requests routed to its own shard, whose order processes
-    /// are local nodes `0..n`. Every shard engine of a parallel world
-    /// hosts one such replica; together they partition the client's
-    /// global schedule.
+    /// routing agree across shards) but materializes only the requests
+    /// routed to its own shard, whose order processes are local nodes
+    /// `0..n`. Every shard engine hosts one such replica; together they
+    /// partition the client's global schedule.
     Slice {
         /// Order processes of the owning shard (local nodes `0..n`).
         n: usize,
@@ -108,19 +97,6 @@ impl Destinations {
     pub(crate) fn targets(&self, id: ClientId, seq: u64) -> Option<Range<usize>> {
         match self {
             Destinations::Flat { n } => Some(0..*n),
-            Destinations::Sharded {
-                ranges,
-                router,
-                load,
-            } => {
-                let shard = match load {
-                    // Round-robin keeps every shard's arrival process
-                    // constant-interval at exactly the spec rate.
-                    ShardLoad::PerShard => (seq - 1) as usize % ranges.len(),
-                    ShardLoad::Global => router.route_request(id, seq),
-                };
-                Some(ranges[shard].clone())
-            }
             Destinations::Slice {
                 n,
                 shard,
@@ -129,6 +105,8 @@ impl Destinations {
                 load,
             } => {
                 let dealt = match load {
+                    // Round-robin keeps every shard's arrival process
+                    // constant-interval at exactly the spec rate.
                     ShardLoad::PerShard => (seq - 1) as usize % shards,
                     ShardLoad::Global => router.route_request(id, seq),
                 };
@@ -141,7 +119,8 @@ impl Destinations {
 /// A synthetic client, generic over the hosted protocol's message type:
 /// each request is wrapped through `wrap` (the protocol's
 /// request-constructor) and multicast to one ordering group — the whole
-/// world in the flat case, or the routed shard in a sharded world.
+/// world in the flat case, or its own shard's engine when the request is
+/// routed there.
 pub struct ClientActor<M> {
     id: ClientId,
     dest: Destinations,
@@ -187,60 +166,16 @@ impl<M> ClientActor<M> {
         }
     }
 
-    /// Creates a multi-shard client: each request is routed to one of the
-    /// given shard node ranges and multicast there. Under
-    /// [`ShardLoad::Global`] the spec's rate is the client's total offered
-    /// load, spread over shards by the router's key policy; under
-    /// [`ShardLoad::PerShard`] every shard receives the spec's rate (the
-    /// client issues at `rate × shards`, dealt round-robin so the
-    /// per-shard arrival process stays constant-interval under
+    /// Creates one shard's replica of a multi-shard client: the full
+    /// request schedule is walked (identical sequence numbering and
+    /// routing on every shard), but only requests routed to `shard` are
+    /// multicast, to the local nodes `0..n` of that shard's engine.
+    /// Under [`ShardLoad::Global`] the spec's rate is the client's total
+    /// offered load, spread over shards by the router's key policy;
+    /// under [`ShardLoad::PerShard`] every shard receives the spec's
+    /// rate (the client issues at `rate × shards`, dealt round-robin so
+    /// the per-shard arrival process stays constant-interval under
     /// [`Arrival::Constant`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's rate is not positive, if `ranges` is empty,
-    /// or if the router's shard count differs from `ranges.len()`.
-    pub fn new_sharded(
-        id: ClientId,
-        ranges: Vec<Range<usize>>,
-        router: ShardRouter,
-        load: ShardLoad,
-        spec: &ClientSpec,
-        arrival: Arrival,
-        wrap: fn(Request) -> M,
-    ) -> Self {
-        assert!(spec.rate_per_sec > 0.0, "client rate must be positive");
-        assert!(!ranges.is_empty(), "sharded client needs at least 1 shard");
-        assert_eq!(
-            router.shard_count(),
-            ranges.len(),
-            "router shard count must match the world's shard ranges"
-        );
-        let rate = match load {
-            ShardLoad::Global => spec.rate_per_sec,
-            ShardLoad::PerShard => spec.rate_per_sec * ranges.len() as f64,
-        };
-        ClientActor {
-            id,
-            dest: Destinations::Sharded {
-                ranges,
-                router,
-                load,
-            },
-            payload: Bytes::from(vec![0xabu8; spec.request_size]),
-            mean_interval: SimDuration((1e9 / rate).round() as u64),
-            stop_at: spec.stop_at,
-            arrival,
-            next_seq: 0,
-            wrap,
-        }
-    }
-
-    /// Creates one shard's replica of a multi-shard client for a
-    /// parallel world: the full request schedule is walked (identical
-    /// sequence numbering and routing as [`ClientActor::new_sharded`]),
-    /// but only requests routed to `shard` are multicast, to the local
-    /// nodes `0..n` of that shard's engine.
     ///
     /// # Panics
     ///

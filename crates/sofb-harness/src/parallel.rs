@@ -1,16 +1,17 @@
-//! Parallel shard execution with a deterministic trace merge.
+//! Multi-shard execution: one isolated engine per shard, with a
+//! deterministic trace merge. This is the only lowering of a scenario
+//! with `shards > 1`.
 //!
 //! Shards of a multi-shard world never exchange messages — only client
 //! traffic crosses shard boundaries, and in this harness clients are
 //! source actors, not relays. Each shard is therefore an independent
-//! discrete-event system and can run in its own [`World`] on a worker
-//! thread. The runner builds one isolated engine per shard (seeded by
-//! the same `shard_seed` schedule the shared-world builder uses), hosts
-//! one slice replica of every client in it (see
+//! discrete-event system and runs in its own [`World`]. The runner
+//! builds one engine per shard (seeded by `shard_seed`), hosts one slice
+//! replica of every client in it (see
 //! [`Destinations::Slice`](crate::client::Destinations)), executes the
-//! shards on up to `world_workers` threads, and k-way-merges the
-//! per-shard traces by the stable `(time, shard)` key into the realized
-//! global schedule.
+//! shards inline or on up to `world_workers` threads, and k-way-merges
+//! the per-shard traces by the stable `(time, shard)` key into the
+//! realized global schedule.
 //!
 //! Determinism: each shard's schedule is a pure function of the
 //! scenario and its shard seed, computed entirely inside its own
@@ -49,8 +50,8 @@ struct ShardRun {
 }
 
 /// Runs a validated multi-shard scenario on isolated per-shard engines
-/// and merges the results. Caller guarantees `scenario.shards > 1` and
-/// `scenario.world_workers >= 1` (the dispatch in `run_traced_as`).
+/// and merges the results. Caller guarantees `scenario.shards > 1` (the
+/// dispatch in `Scenario::run_observed_with`).
 pub(crate) fn run_world_parallel<P: Protocol>(
     scenario: &Scenario,
     enforce_safety: bool,
@@ -76,9 +77,8 @@ pub(crate) fn run_world_parallel<P: Protocol>(
     runs.resize_with(shards, || None);
 
     if threads <= 1 {
-        // One worker: the same per-shard path, inline — which is what
-        // makes `world_workers == 1` the determinism anchor N-worker
-        // runs are compared against.
+        // Zero (unset) or one worker: the same per-shard path, inline —
+        // the determinism anchor N-worker runs are compared against.
         for (s, slot) in runs.iter_mut().enumerate() {
             *slot = Some(run_shard::<P>(scenario, s, n, &router, &faults, trace));
         }
@@ -129,10 +129,10 @@ pub(crate) fn run_world_parallel<P: Protocol>(
         engines.push(run.counters);
         metrics.absorb(&run.metrics);
         messages_sent += run.messages_sent;
-        // Re-stamp local node indices into the global namespace (shard
-        // `s`'s processes live at base `s·n`, matching the shared-world
-        // layout). Only process nodes emit events; a shard engine's
-        // client replicas (local nodes ≥ n) never do.
+        // Re-stamp local node indices into world-global ones (shard
+        // `s`'s processes are nodes `s·n .. (s+1)·n`). Only process nodes
+        // emit events; a shard engine's client replicas (local nodes
+        // ≥ n) never do.
         shard_events.push(
             run.events
                 .into_iter()
@@ -193,10 +193,9 @@ fn run_shard<P: Protocol>(
     faults: &[(usize, ProcessId, FaultSpec<P::Byz>)],
     trace: Option<&TraceConfig>,
 ) -> ShardRun {
-    // The shard's knob set and network are exactly the shared-world
-    // builder's: seed decorrelated per shard, the protocol's own link
-    // shape (whose default already joins everything over the LAN, which
-    // is all the local client replicas need).
+    // The shard's knob set and network: seed decorrelated per shard, the
+    // protocol's own link shape (whose default already joins everything
+    // over the LAN, which is all the local client replicas need).
     let mut knobs = scenario.knobs.clone();
     knobs.seed = shard_seed(scenario.knobs.seed, s);
     let net = P::network(&knobs, &scenario.links);

@@ -21,8 +21,6 @@
 
 use std::fmt;
 
-use std::ops::Range;
-
 use rand::Rng;
 
 use bytes::Bytes;
@@ -50,7 +48,7 @@ const TIMER_POPULATION: u64 = 101;
 /// one request per member per tick in id order (the union schedule of
 /// `count` constant clients).
 ///
-/// In a parallel world every shard engine hosts one replica of the
+/// In a multi-shard world every shard engine hosts one replica of the
 /// population in slice mode: the member-pick stream is a pure function
 /// of `(seed, base_id, emission index)`, so all replicas walk the same
 /// client/sequence/shard assignment and the emitted request-id sets
@@ -145,63 +143,14 @@ impl<M> ClientPopulation<M> {
         )
     }
 
-    /// Creates a multi-shard population: each request routes to one of
-    /// the given shard node ranges, with the same rate semantics as
-    /// [`ClientActor::new_sharded`](crate::client::ClientActor::new_sharded)
+    /// Creates one shard's replica of a multi-shard population: the full
+    /// aggregate schedule is walked (the member-pick stream and sequence
+    /// counters advance identically on every shard), but only requests
+    /// routed to `shard` are multicast, to the local nodes `0..n` of
+    /// that shard's engine. Rates follow
+    /// [`ClientActor`](crate::client::ClientActor)'s slice semantics
     /// (under [`ShardLoad::PerShard`] every member offers `rate` to
     /// *each* shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is 0, the spec's rate is not positive,
-    /// `ranges` is empty, or the router's shard count differs from
-    /// `ranges.len()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_sharded(
-        base_id: ClientId,
-        count: usize,
-        ranges: Vec<Range<usize>>,
-        router: ShardRouter,
-        load: ShardLoad,
-        spec: &ClientSpec,
-        arrival: Arrival,
-        seed: u64,
-        wrap: fn(Request) -> M,
-    ) -> Self {
-        assert!(
-            !ranges.is_empty(),
-            "sharded population needs at least 1 shard"
-        );
-        assert_eq!(
-            router.shard_count(),
-            ranges.len(),
-            "router shard count must match the world's shard ranges"
-        );
-        let mult = match load {
-            ShardLoad::Global => 1.0,
-            ShardLoad::PerShard => ranges.len() as f64,
-        };
-        Self::with_dest(
-            base_id,
-            count,
-            Destinations::Sharded {
-                ranges,
-                router,
-                load,
-            },
-            mult,
-            spec,
-            arrival,
-            seed,
-            wrap,
-        )
-    }
-
-    /// Creates one shard's replica of a multi-shard population for a
-    /// parallel world: the full aggregate schedule is walked (the
-    /// member-pick stream and sequence counters advance identically on
-    /// every shard), but only requests routed to `shard` are multicast,
-    /// to the local nodes `0..n` of that shard's engine.
     ///
     /// # Panics
     ///

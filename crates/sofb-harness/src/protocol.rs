@@ -163,7 +163,7 @@ pub trait Protocol {
     /// Scripted Byzantine misbehaviours this protocol supports
     /// (an uninhabited enum if none). `Send + Sync` because a fault
     /// plan is shared by reference with the per-shard worker threads of
-    /// a parallel world (see `Scenario::world_workers`).
+    /// a multi-shard world (see `Scenario::world_workers`).
     type Byz: Clone + fmt::Debug + Send + Sync + 'static;
 
     /// Display name ("SC", "BFT", …).

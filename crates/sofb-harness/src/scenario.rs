@@ -7,10 +7,10 @@
 //! network/CPU models, a fault plan with pre/post-GST windows, the
 //! measurement window and the seed. [`Scenario::validate`] rejects
 //! malformed specs with typed [`ScenarioError`]s (never a panic);
-//! [`Scenario::run_as`] lowers a valid spec onto the existing builders —
-//! `shards == 1` onto the flat [`WorldBuilder`] path, `shards > 1` onto
-//! [`ShardedWorldBuilder`] — runs the world and summarizes the
-//! observation log into a uniform [`Report`]. A one-shard scenario
+//! [`Scenario::run_as`] lowers a valid spec — `shards == 1` onto the
+//! flat [`WorldBuilder`] path, `shards > 1` onto one isolated engine per
+//! shard whose traces merge by `(time, shard)` — runs it and summarizes
+//! the observation log into a uniform [`Report`]. A one-shard scenario
 //! realizes the *bit-identical* event trace of the legacy flat builder
 //! (pinned by the golden-equivalence tests).
 //!
@@ -48,7 +48,7 @@ use crate::client::{Arrival, ClientSpec};
 use crate::event::ProtocolEvent;
 use crate::fault::FaultSpec;
 use crate::protocol::{Knobs, Links, Protocol, ProtocolKind};
-use crate::shard::{RouterConfigError, ShardLoad, ShardRouter, ShardedWorldBuilder};
+use crate::shard::{RouterConfigError, ShardLoad, ShardRouter};
 
 /// Measurement window for one scenario run: clients stop issuing at
 /// `run_s`, the world keeps draining until `run_s + drain_s`, and the
@@ -561,13 +561,11 @@ pub struct Scenario {
     pub faults: Vec<ScenarioFault>,
     /// Measurement window (also derives the clients' stop time).
     pub window: Window,
-    /// Worker threads for parallel shard execution. The default 0
-    /// keeps the legacy single-threaded shared-world engine; any value
-    /// ≥ 1 switches a multi-shard scenario to isolated per-shard
-    /// engines executed on up to `world_workers` threads, with the
-    /// per-shard traces merged deterministically — every value ≥ 1
-    /// realizes the identical schedule, bit for bit (1 worker runs the
-    /// same per-shard path inline). Ignored when `shards == 1`, like
+    /// Worker threads that compute a multi-shard scenario's per-shard
+    /// engines. A thread count only: 0 (the default, "unset") and 1 both
+    /// run the shards inline on the calling thread, larger values on up
+    /// to that many threads — every value realizes the identical
+    /// schedule, bit for bit. Ignored when `shards == 1`, like
     /// [`Scenario::router`]: a flat world has nothing to split.
     pub world_workers: usize,
 }
@@ -676,10 +674,9 @@ impl Scenario {
         self
     }
 
-    /// Sets the parallel world-worker count (see
-    /// [`Scenario::world_workers`]): ≥ 1 runs each shard of a
-    /// multi-shard world in its own isolated engine, on up to that many
-    /// threads, with a deterministic trace merge.
+    /// Sets the world-worker thread count (see
+    /// [`Scenario::world_workers`]): the shards of a multi-shard world
+    /// run on up to that many threads; the result does not depend on it.
     pub fn world_workers(mut self, workers: usize) -> Self {
         self.world_workers = workers;
         self
@@ -958,112 +955,74 @@ impl Scenario {
                 protocol: P::NAME,
             });
         }
-        // A multi-shard world with an explicit worker count runs on the
-        // isolated per-shard-engine path (deterministically identical
-        // for every count ≥ 1); the default 0 keeps the legacy shared
-        // single-threaded engine, whose realized schedule is pinned by
-        // the golden traces.
-        if self.shards > 1 && self.world_workers >= 1 {
-            let mut run = crate::parallel::run_world_parallel::<P>(self, enforce_safety, trace)?;
-            if let Some(cfg) = trace {
-                crate::obs::push_phase_records(
-                    &mut run.records,
-                    &run.events,
-                    self.nodes_per_shard(),
-                    cfg,
-                );
-            }
-            return Ok(run);
-        }
-        let stop = self.window.end();
-        if self.shards == 1 {
-            let mut b = WorldBuilder::<P>::new(self.knobs.f)
-                .knobs(self.knobs.clone())
-                .cpu(self.cpu)
-                .lan_link(self.links.lan.clone())
-                .pair_link(self.links.pair.clone());
-            for c in &self.clients {
-                let spec = ClientSpec::new(c.rate_per_sec, c.request_size, stop);
-                b = if c.population > 1 {
-                    b.client_population(spec, c.arrival, c.population)
-                } else {
-                    match c.arrival {
-                        Arrival::Constant => b.client(spec),
-                        Arrival::Poisson => b.poisson_client(spec),
-                    }
-                };
-            }
-            for (i, fault) in self.faults.iter().enumerate() {
-                b = b.fault(fault.process, self.lower_fault::<P>(i, fault)?);
-            }
-            let mut d = b.build();
-            if let Some(cfg) = trace {
-                d.world.set_trace_sink(Box::new(MemSink::new(cfg.clone())));
-            }
-            d.start();
-            d.run_until(self.window.horizon());
-            let events = d.world.drain_events();
-            let mut records = d.world.drain_trace();
-            let report = summarize(
-                &[&events],
-                &events,
-                self.window,
-                d.world.messages_sent(),
-                &[d.world.counters()],
-                d.world.metrics(),
-                enforce_safety,
-            );
-            if let Some(cfg) = trace {
-                crate::obs::push_phase_records(&mut records, &events, self.nodes_per_shard(), cfg);
-            }
-            Ok(ObservedRun {
-                report,
-                events,
-                records,
-            })
+        // A multi-shard world runs each shard in its own isolated engine
+        // (`world_workers` only picks how many threads compute them); a
+        // one-shard world is the flat builder's world.
+        let mut run = if self.shards > 1 {
+            crate::parallel::run_world_parallel::<P>(self, enforce_safety, trace)?
         } else {
-            let mut b = ShardedWorldBuilder::<P>::new(self.shards, self.knobs.f)
-                .knobs(self.knobs.clone())
-                .cpu(self.cpu)
-                .lan_link(self.links.lan.clone())
-                .pair_link(self.links.pair.clone())
-                .router(self.router.build(self.shards)?);
-            for c in &self.clients {
-                let spec = ClientSpec::new(c.rate_per_sec, c.request_size, stop);
-                b = b.client_population_with(spec, c.arrival, c.load, c.population);
-            }
-            for (i, fault) in self.faults.iter().enumerate() {
-                b = b.fault(fault.shard, fault.process, self.lower_fault::<P>(i, fault)?);
-            }
-            let mut d = b.build();
-            if let Some(cfg) = trace {
-                d.world.set_trace_sink(Box::new(MemSink::new(cfg.clone())));
-            }
-            d.start();
-            d.run_until(self.window.horizon());
-            let events = d.world.drain_events();
-            let mut records = d.world.drain_trace();
-            let parts = d.partition_events(&events);
-            let refs: Vec<&[TimedEvent<ProtocolEvent>]> =
-                parts.iter().map(|p| p.as_slice()).collect();
-            let report = summarize(
-                &refs,
-                &events,
-                self.window,
-                d.world.messages_sent(),
-                &[d.world.counters()],
-                d.world.metrics(),
-                enforce_safety,
+            self.run_flat::<P>(enforce_safety, trace)?
+        };
+        if let Some(cfg) = trace {
+            crate::obs::push_phase_records(
+                &mut run.records,
+                &run.events,
+                self.nodes_per_shard(),
+                cfg,
             );
-            if let Some(cfg) = trace {
-                crate::obs::push_phase_records(&mut records, &events, self.nodes_per_shard(), cfg);
-            }
-            Ok(ObservedRun {
-                report,
-                events,
-                records,
-            })
         }
+        Ok(run)
+    }
+
+    /// Lowers a validated one-shard scenario onto [`WorldBuilder`] and
+    /// runs it to the window's horizon.
+    fn run_flat<P: Protocol>(
+        &self,
+        enforce_safety: bool,
+        trace: Option<&TraceConfig>,
+    ) -> Result<ObservedRun, ScenarioError> {
+        let stop = self.window.end();
+        let mut b = WorldBuilder::<P>::new(self.knobs.f)
+            .knobs(self.knobs.clone())
+            .cpu(self.cpu)
+            .lan_link(self.links.lan.clone())
+            .pair_link(self.links.pair.clone());
+        for c in &self.clients {
+            let spec = ClientSpec::new(c.rate_per_sec, c.request_size, stop);
+            b = if c.population > 1 {
+                b.client_population(spec, c.arrival, c.population)
+            } else {
+                match c.arrival {
+                    Arrival::Constant => b.client(spec),
+                    Arrival::Poisson => b.poisson_client(spec),
+                }
+            };
+        }
+        for (i, fault) in self.faults.iter().enumerate() {
+            b = b.fault(fault.process, self.lower_fault::<P>(i, fault)?);
+        }
+        let mut d = b.build();
+        if let Some(cfg) = trace {
+            d.world.set_trace_sink(Box::new(MemSink::new(cfg.clone())));
+        }
+        d.start();
+        d.run_until(self.window.horizon());
+        let events = d.world.drain_events();
+        let records = d.world.drain_trace();
+        let report = summarize(
+            &[&events],
+            &events,
+            self.window,
+            d.world.messages_sent(),
+            &[d.world.counters()],
+            d.world.metrics(),
+            enforce_safety,
+        );
+        Ok(ObservedRun {
+            report,
+            events,
+            records,
+        })
     }
 }
 
@@ -1109,7 +1068,7 @@ pub struct ShardReport {
 /// The uniform result of one scenario run, flat or sharded: per-shard
 /// measurements (one entry for a flat world) plus the cross-shard
 /// rollup. Flat runs report the exact numbers the legacy `Point` path
-/// reported; sharded runs the legacy `ShardedPoint` numbers.
+/// reported.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
     /// Per-shard measurements, in shard order.
@@ -1133,14 +1092,13 @@ pub struct Report {
     /// `PartialEq` determinism comparisons this struct participates in.
     pub engine: EngineCounters,
     /// The same counters per engine, before aggregation: one entry per
-    /// isolated engine — per shard on the parallel path, a single entry
-    /// for flat worlds and the legacy shared-engine path. Lets a
+    /// shard, in shard order (a single entry for a flat world). Lets a
     /// parallel-scaling regression (arena high water, heap traffic) be
     /// attributed to a shard instead of disappearing into the sum.
     pub engine_per_shard: Vec<EngineCounters>,
     /// Deterministic named metrics scraped from the engine(s) — the
     /// counter set of [`sofb_sim::engine::World::metrics`], absorbed
-    /// across shard engines like `NodeStats::absorb`.
+    /// across shard engines with [`MetricsSnapshot::absorb`].
     pub metrics: MetricsSnapshot,
 }
 

@@ -101,11 +101,8 @@ pub struct TimedEvent<E> {
 pub struct Ctx<'a, M, E> {
     now: SimTime,
     fired: Option<SimTime>,
-    /// The hosting node's index as the actor sees it (relative to its
-    /// index-namespace base; equals `world_node` in a flat world).
+    /// The hosting node's index.
     me: usize,
-    /// The hosting node's absolute world index (event attribution).
-    world_node: usize,
     rng: &'a mut StdRng,
     sends: Vec<(usize, M)>,
     timer_ops: Vec<TimerOp>,
@@ -134,9 +131,7 @@ impl<M, E> Ctx<'_, M, E> {
         self.fired
     }
 
-    /// The hosting node's index, relative to its index-namespace base
-    /// (the identity the actor was built with; in a flat world this is
-    /// the absolute world index).
+    /// The hosting node's index.
     pub fn me(&self) -> usize {
         self.me
     }
@@ -174,12 +169,12 @@ impl<M, E> Ctx<'_, M, E> {
         self.timer_ops.push(TimerOp::Cancel(tag));
     }
 
-    /// Emits an observation for the harness (attributed to the node's
-    /// absolute world index).
+    /// Emits an observation for the harness (attributed to the hosting
+    /// node).
     pub fn emit(&mut self, event: E) {
         self.events.push(TimedEvent {
             time: self.now,
-            node: self.world_node,
+            node: self.me,
             event,
         });
     }
@@ -225,7 +220,6 @@ impl<'a, M, E> Ctx<'a, M, E> {
             now,
             fired: None,
             me,
-            world_node: me,
             rng,
             sends: Vec::new(),
             timer_ops: Vec::new(),
@@ -337,12 +331,6 @@ struct ArmedTimer {
 
 struct NodeState<M, E> {
     actor: Box<dyn Actor<Msg = M, Event = E>>,
-    /// Index-namespace base: the actor addresses peers relative to this
-    /// offset (`ctx.send(to)` transmits to world node `base + to`, and
-    /// incoming `from` values are reported relative to it). A base of 0
-    /// is the flat world; sharded worlds place each ordering group at its
-    /// own base so unmodified protocol actors can cohabit one world.
-    base: usize,
     inbox: VecDeque<Incoming>,
     /// True while a Ready event for this node is scheduled.
     busy: bool,
@@ -396,17 +384,6 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Folds another node's counters into this one (used by sharded
-    /// worlds to report per-group aggregates): counts and busy time add,
-    /// high-water marks take the maximum.
-    pub fn absorb(&mut self, other: &NodeStats) {
-        self.callbacks += other.callbacks;
-        self.busy_ns += other.busy_ns;
-        self.busy_until = self.busy_until.max(other.busy_until);
-        self.max_queue = self.max_queue.max(other.max_queue);
-        self.max_inflight = self.max_inflight.max(other.max_inflight);
-    }
-
     /// Fraction of `[0, now]` this node's CPU was busy.
     ///
     /// `busy_ns` accrues a callback's full service time when the
@@ -490,27 +467,10 @@ impl<M: Clone + WireSize + fmt::Debug, E: fmt::Debug> World<M, E> {
     }
 
     /// Adds a node hosting `actor` with the given CPU model; returns its
-    /// index. The actor addresses peers by absolute world index (base 0).
+    /// index. The actor addresses peers by world index.
     pub fn add_node(&mut self, actor: Box<dyn Actor<Msg = M, Event = E>>, cpu: CpuModel) -> usize {
-        self.add_node_at_base(actor, cpu, 0)
-    }
-
-    /// Adds a node whose actor lives in the index namespace starting at
-    /// `base`: every index the actor sends to is offset by `base` on the
-    /// wire, and every `from` it observes is reported relative to `base`.
-    /// This is what lets several independent ordering groups — each built
-    /// from actors that believe their world is `0..n` — share one
-    /// simulated world (see the harness's sharded builder). Messages
-    /// must never arrive from below `base`.
-    pub fn add_node_at_base(
-        &mut self,
-        actor: Box<dyn Actor<Msg = M, Event = E>>,
-        cpu: CpuModel,
-        base: usize,
-    ) -> usize {
         self.nodes.push(NodeState {
             actor,
-            base,
             inbox: VecDeque::new(),
             busy: false,
             busy_until: SimTime::ZERO,
@@ -1091,15 +1051,13 @@ impl<M: Clone + WireSize + fmt::Debug, E: fmt::Debug> World<M, E> {
         } else {
             None
         };
-        let base = self.nodes[idx].base;
         let mut events_buf = std::mem::take(&mut self.events);
         let (mut sends, mut timer_ops, cost_ns) = {
             let node = &mut self.nodes[idx];
             let mut ctx = Ctx {
                 now: start,
                 fired,
-                me: idx - base,
-                world_node: idx,
+                me: idx,
                 rng: &mut self.rng,
                 sends: std::mem::take(&mut self.spare_sends),
                 timer_ops: std::mem::take(&mut self.spare_timer_ops),
@@ -1108,12 +1066,8 @@ impl<M: Clone + WireSize + fmt::Debug, E: fmt::Debug> World<M, E> {
             match incoming {
                 None => node.actor.on_start(&mut ctx),
                 Some(Incoming::Message { from, .. }) => {
-                    // `from` is a world index; the actor sees it relative
-                    // to its base (clients and cross-group senders land
-                    // beyond the group's own range, exactly as external
-                    // senders do in a flat world).
                     let msg = taken.take().expect("message payload taken above");
-                    node.actor.on_message(from - base, msg, &mut ctx)
+                    node.actor.on_message(from, msg, &mut ctx)
                 }
                 Some(Incoming::Timer { tag, .. }) => node.actor.on_timer(tag, &mut ctx),
             }
@@ -1174,8 +1128,6 @@ impl<M: Clone + WireSize + fmt::Debug, E: fmt::Debug> World<M, E> {
             .and_then(|(from, until, jitter)| in_window(from, until).then_some(jitter))
             .filter(|j| *j > SimDuration::ZERO);
         for (to, msg) in sends.drain(..) {
-            // The actor addresses peers relative to its base.
-            let to = to + base;
             // Self-addressed messages never traverse the uplink, so the
             // mute/delay/duplicate/reorder faults (which model a cut or
             // degraded network interface) do not apply to them.

@@ -198,6 +198,8 @@ impl SeedExpr {
 
 const SEED_EXPR: &str = "a seed expression (`+`-separated integers, `value`, `f`)";
 
+const WORLD_WORKERS: &str = "a positive worker count (>= 1)";
+
 /// One `[axis]` section, lowered lazily so `[smoke]` can substitute the
 /// value list while keeping the field, name, scale and seed coupling.
 #[derive(Clone, Debug)]
@@ -787,10 +789,10 @@ fn apply_scenario_key(s: &mut Scenario, entry: &RawEntry) -> Result<bool, SpecEr
         "shards" => s.shards = parse_usize(entry)?,
         "router" => s.router = parse_router(entry)?,
         "world_workers" => {
-            // 0 is the programmatic "legacy path" default and stays
+            // 0 is the programmatic "unset" default and stays
             // unreachable from specs, same as from the CLI flag.
             s.world_workers = match parse_usize(entry)? {
-                0 => return Err(bad_value(entry, "a positive worker count (>= 1)")),
+                0 => return Err(bad_value(entry, WORLD_WORKERS)),
                 w => w,
             }
         }
@@ -1138,9 +1140,13 @@ fn parse_axis_values(field: AxisField, entry: &RawEntry) -> Result<Values, SpecE
         _ => Values::Ints(
             tokens
                 .iter()
-                .map(|t| {
-                    t.parse::<u64>()
-                        .map_err(|_| bad_value(entry, "an integer list"))
+                .map(|t| match t.parse::<u64>() {
+                    // The `world_workers` key's rule holds for its axis.
+                    Ok(0) if field == AxisField::WorldWorkers => {
+                        Err(bad_value(entry, WORLD_WORKERS))
+                    }
+                    Ok(v) => Ok(v),
+                    Err(_) => Err(bad_value(entry, "an integer list")),
                 })
                 .collect::<Result<_, _>>()?,
         ),

@@ -504,12 +504,33 @@ fn bad_enum_values_name_the_line() {
 /// spec value: both reject at parse with the offending line.
 #[test]
 fn zero_world_workers_and_zero_population_are_rejected() {
+    const POSITIVE: &str = "a positive worker count (>= 1)";
     let err = parse_err("[scenario]\nkind = SC\nshards = 2\nworld_workers = 0\n");
     assert_eq!(err.line, 4);
     assert!(
-        matches!(err.kind, SpecErrorKind::BadValue { ref key, .. } if key == "world_workers"),
+        matches!(err.kind, SpecErrorKind::BadValue { ref key, expected, .. }
+            if key == "world_workers" && expected == POSITIVE),
         "{err:?}"
     );
+    // The axis, and its `[smoke]` override, obey the key's rule.
+    for (text, line) in [
+        (
+            "[scenario]\nkind = SC\nshards = 2\n[axis]\nfield = world_workers\nvalues = 0, 1\n",
+            6,
+        ),
+        (
+            "[scenario]\nkind = SC\nshards = 2\n[axis]\nfield = world_workers\nvalues = 1, 2\n\
+             [smoke]\naxis.world_workers = 0\n",
+            8,
+        ),
+    ] {
+        let err = parse_err(text);
+        assert_eq!(err.line, line, "{err:?}");
+        assert!(
+            matches!(err.kind, SpecErrorKind::BadValue { expected, .. } if expected == POSITIVE),
+            "{err:?}"
+        );
+    }
 
     let err = parse_err("[scenario]\nkind = SC\n[client]\nrate = 9\npopulation = 0\n");
     assert_eq!(err.line, 5);

@@ -157,8 +157,9 @@ run flags:
     --dry-run      parse, validate and expand only; print the point labels
     --workers N    grid worker threads (default: min(cores, 4); results identical)
     --world-workers N
-                   per-world shard threads for multi-shard points (results
-                   identical; overrides the spec's `world_workers`)
+                   threads that run a multi-shard point's per-shard engines
+                   (overrides the spec's `world_workers`; unset runs them
+                   inline, like 1; results identical at any count)
     --out FILE     write the grid-report JSON to FILE instead of stdout
                    (written atomically: temp file + rename)
     --check FILE   regenerate and compare against FILE at 1e-9 (wall excluded)

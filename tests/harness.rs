@@ -8,9 +8,7 @@ use sofbyz::bft::sim::BftProtocol;
 use sofbyz::core::analysis;
 use sofbyz::core::sim::ScProtocol;
 use sofbyz::ct::sim::CtProtocol;
-use sofbyz::harness::{
-    ClientSpec, FaultSpec, Protocol, ProtocolEvent, ShardedWorldBuilder, WorldBuilder,
-};
+use sofbyz::harness::{ClientSpec, FaultSpec, Protocol, ProtocolEvent, WorldBuilder};
 use sofbyz::proto::ids::ProcessId;
 use sofbyz::proto::topology::Variant;
 use sofbyz::sim::engine::TimedEvent;
@@ -297,102 +295,6 @@ fn golden_traces_pinned_on_all_four_variants() {
             trace_hash(events),
             *want,
             "{name}: golden trace diverged (seed 17)"
-        );
-    }
-}
-
-/// A 1-shard sharded world realizes the *bit-identical* `(time, node,
-/// kind)` event trace of the flat `WorldBuilder` world: with one group
-/// at base 0 every index translation is the identity, the assembly
-/// order matches, and shard 0 keeps the base seed — so growing the
-/// harness a layer upward is schedule-neutral. Full-trace equality (not
-/// just a hash) on all four variants, with the same workload/seed as the
-/// pinned golden traces above.
-#[test]
-fn one_shard_sharded_world_is_bit_identical_to_flat() {
-    fn sharded_base<P: Protocol>(seed: u64) -> ShardedWorldBuilder<P> {
-        ShardedWorldBuilder::<P>::new(1, 1)
-            .seed(seed)
-            .batching_interval(SimDuration::from_ms(80))
-            .client(workload(2))
-    }
-    fn run_sharded<P: Protocol>(
-        builder: ShardedWorldBuilder<P>,
-        until_s: u64,
-    ) -> Vec<TimedEvent<ProtocolEvent>> {
-        let mut d = builder.build();
-        d.start();
-        d.run_until(SimTime::from_secs(until_s));
-        d.world.drain_events()
-    }
-    fn assert_identical(
-        name: &str,
-        flat: Vec<TimedEvent<ProtocolEvent>>,
-        sharded: Vec<TimedEvent<ProtocolEvent>>,
-    ) {
-        assert!(!flat.is_empty(), "{name}: empty flat trace");
-        assert_eq!(flat.len(), sharded.len(), "{name}: trace lengths differ");
-        for (i, (a, b)) in flat.iter().zip(&sharded).enumerate() {
-            assert!(
-                a.time == b.time && a.node == b.node && a.event == b.event,
-                "{name}: traces diverge at event {i}: \
-                 flat ({:?}, node {}, {:?}) vs sharded ({:?}, node {}, {:?})",
-                a.time,
-                a.node,
-                a.event,
-                b.time,
-                b.node,
-                b.event
-            );
-        }
-    }
-
-    assert_identical(
-        "SC",
-        run(base::<ScProtocol>(17).variant(Variant::Sc), 4),
-        run_sharded(sharded_base::<ScProtocol>(17).variant(Variant::Sc), 4),
-    );
-    assert_identical(
-        "SCR",
-        run(base::<ScProtocol>(17).variant(Variant::Scr), 4),
-        run_sharded(sharded_base::<ScProtocol>(17).variant(Variant::Scr), 4),
-    );
-    assert_identical(
-        "BFT",
-        run(base::<BftProtocol>(17), 4),
-        run_sharded(sharded_base::<BftProtocol>(17), 4),
-    );
-    assert_identical(
-        "CT",
-        run(base::<CtProtocol>(17), 4),
-        run_sharded(sharded_base::<CtProtocol>(17), 4),
-    );
-}
-
-/// The equivalence extends to the uniform fault plan: a crash installed
-/// through the sharded builder's `(shard, process)` addressing realizes
-/// the flat builder's exact schedule at one shard.
-#[test]
-fn one_shard_sharded_fault_plan_matches_flat() {
-    let at = SimTime::from_secs(1);
-    let flat = run(
-        base::<CtProtocol>(29).fault(ProcessId(2), FaultSpec::crash(at)),
-        6,
-    );
-    let mut d = ShardedWorldBuilder::<CtProtocol>::new(1, 1)
-        .seed(29)
-        .batching_interval(SimDuration::from_ms(80))
-        .client(workload(2))
-        .fault(0, ProcessId(2), FaultSpec::crash(at))
-        .build();
-    d.start();
-    d.run_until(SimTime::from_secs(6));
-    let sharded = d.world.drain_events();
-    assert_eq!(flat.len(), sharded.len(), "fault-plan traces differ");
-    for (a, b) in flat.iter().zip(&sharded) {
-        assert!(
-            a.time == b.time && a.node == b.node && a.event == b.event,
-            "fault-plan traces diverge"
         );
     }
 }

@@ -1,6 +1,7 @@
 //! Parallel world-worker determinism: running a multi-shard scenario's
 //! shards on N threads realizes the bit-identical global schedule —
-//! full trace and `Report` equality against the 1-worker run — for
+//! full trace and `Report` equality against the 1-worker run, as does
+//! the unset (0) count — for
 //! {2, 4, 8}-shard worlds, including a fault-plan run and an aggregated
 //! client population. The worker count only decides which thread
 //! computes which shard; every schedule is a pure function of the
@@ -58,6 +59,13 @@ fn one_vs_n_world_workers_bit_identical_across_shard_counts() {
             &format!("SC {shards} shards"),
             world(ProtocolKind::Sc, shards, 1),
             shards,
+        );
+        // Unset (0) is a thread count like any other: it runs the
+        // shards inline, exactly as 1 worker does.
+        assert_one_equals_n(
+            &format!("SC {shards} shards, unset vs 1"),
+            world(ProtocolKind::Sc, shards, 1),
+            0,
         );
     }
 }

@@ -1,6 +1,7 @@
 //! Sharded-world correctness: seeded sweeps over {2, 4, 8} ordering
-//! groups × all four protocol variants through the one
-//! `ShardedWorldBuilder` code path, asserting the three sharding
+//! groups × all four protocol variants through the one multi-shard
+//! lowering (`Scenario` with `shards > 1`: an isolated engine per shard,
+//! traces merged by `(time, shard)`), asserting the three sharding
 //! invariants —
 //!
 //! 1. **per-shard total order** (each group is a safe total-order
@@ -10,68 +11,53 @@
 //! 3. **exactly-once delivery per request id** (no request is ordered
 //!    twice, in one shard or across shards) —
 //!
-//! plus the headline scaling property the sharded layer exists for.
+//! plus determinism and the per-shard engine accounting.
 
-use sofbyz::bft::sim::BftProtocol;
 use sofbyz::core::analysis;
-use sofbyz::core::sim::ScProtocol;
-use sofbyz::ct::sim::CtProtocol;
-use sofbyz::harness::{
-    ClientSpec, Protocol, ProtocolEvent, ShardRouter, ShardedDeployment, ShardedWorldBuilder,
-};
-use sofbyz::proto::topology::Variant;
+use sofbyz::harness::{ProtocolEvent, ProtocolKind};
+use sofbyz::scenario::{run_traced, ClientLoad, Report, RouterPolicy, Scenario, Window};
 use sofbyz::sim::engine::TimedEvent;
-use sofbyz::sim::time::{SimDuration, SimTime};
 
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 
 /// The identical workload every sharded variant is subjected to: one
-/// client whose *total* offered load is spread over the shards by the
-/// hash router.
-fn workload(stop_s: u64) -> ClientSpec {
-    ClientSpec {
-        rate_per_sec: 120.0,
-        request_size: 100,
-        stop_at: SimTime::from_secs(stop_s),
-    }
-}
-
-fn base<P: Protocol>(shards: usize, seed: u64) -> ShardedWorldBuilder<P> {
-    ShardedWorldBuilder::<P>::new(shards, 1)
+/// 120 req/s client whose *total* offered load is spread over the
+/// shards by the router, stopping at 2 s; the world drains until 6 s.
+fn world(kind: ProtocolKind, shards: usize, seed: u64) -> Scenario {
+    Scenario::new(kind)
         .seed(seed)
-        .batching_interval(SimDuration::from_ms(80))
-        .client(workload(2))
+        .interval_ms(80)
+        .shards(shards)
+        .client(ClientLoad::constant(120.0, 100))
+        .window(Window {
+            warmup_s: 0,
+            run_s: 2,
+            drain_s: 4,
+        })
 }
 
-/// Builds, runs and drains one sharded deployment of `P`, returning the
-/// deployment (for shard geometry and the router) plus its events.
-fn run<P: Protocol>(
-    builder: ShardedWorldBuilder<P>,
-    until_s: u64,
-) -> (ShardedDeployment<P>, Vec<TimedEvent<ProtocolEvent>>) {
-    let mut d = builder.build();
-    d.start();
-    d.run_until(SimTime::from_secs(until_s));
-    let events = d.world.drain_events();
-    (d, events)
+fn run(s: &Scenario) -> (Report, Vec<TimedEvent<ProtocolEvent>>) {
+    run_traced(s).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Checks the three sharding invariants on one run.
-fn check_invariants<P: Protocol>(
-    name: &str,
-    shards: usize,
-    d: &ShardedDeployment<P>,
-    events: &[TimedEvent<ProtocolEvent>],
-) {
-    assert_eq!(d.shard_count(), shards, "{name}");
-    let parts = d.partition_events(events);
+fn check_invariants(name: &str, s: &Scenario) {
+    let (report, events) = run(s);
+    let shards = s.shards;
+    assert_eq!(report.per_shard.len(), shards, "{name}");
+    let n = s.nodes_per_shard();
 
     // (1) Per-shard total order, and every shard made progress.
     let mut total_committed = 0usize;
-    for (s, shard_events) in parts.iter().enumerate() {
-        analysis::check_total_order(shard_events)
-            .unwrap_or_else(|e| panic!("{name} {shards} shards: shard {s}: {e}"));
-        let committed: usize = shard_events
+    for shard in 0..shards {
+        let part: Vec<TimedEvent<ProtocolEvent>> = events
+            .iter()
+            .filter(|e| e.node / n == shard)
+            .cloned()
+            .collect();
+        analysis::check_total_order(&part)
+            .unwrap_or_else(|e| panic!("{name} {shards} shards: shard {shard}: {e}"));
+        let committed: usize = part
             .iter()
             .filter_map(|e| match &e.event {
                 ProtocolEvent::Committed { requests, .. } => Some(*requests),
@@ -80,7 +66,7 @@ fn check_invariants<P: Protocol>(
             .sum();
         assert!(
             committed > 0,
-            "{name} {shards} shards: shard {s} committed nothing"
+            "{name} {shards} shards: shard {shard} committed nothing"
         );
         total_committed += committed;
     }
@@ -92,10 +78,10 @@ fn check_invariants<P: Protocol>(
     // (2) + (3) The shared analysis checkers (the same ones the fuzzer's
     // oracles run): exactly-once commitment per request id, and every
     // commit in the shard the router assigned.
-    let n = d.shard_range(0).len();
-    analysis::check_exactly_once(events, n)
+    analysis::check_exactly_once(&events, n)
         .unwrap_or_else(|e| panic!("{name} {shards} shards: {e}"));
-    analysis::check_no_cross_shard_leakage(events, n, d.router())
+    let router = s.router.build(shards).unwrap();
+    analysis::check_no_cross_shard_leakage(&events, n, &router)
         .unwrap_or_else(|e| panic!("{name} {shards} shards: {e}"));
     let ordered = events.iter().any(|ev| {
         matches!(&ev.event, ProtocolEvent::Committed { request_ids, .. } if !request_ids.is_empty())
@@ -106,36 +92,28 @@ fn check_invariants<P: Protocol>(
 #[test]
 fn sc_sharded_invariants_hold() {
     for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
-        let seed = 51 + i as u64;
-        let (d, events) = run(base::<ScProtocol>(shards, seed).variant(Variant::Sc), 6);
-        check_invariants("SC", shards, &d, &events);
+        check_invariants("SC", &world(ProtocolKind::Sc, shards, 51 + i as u64));
     }
 }
 
 #[test]
 fn scr_sharded_invariants_hold() {
     for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
-        let seed = 61 + i as u64;
-        let (d, events) = run(base::<ScProtocol>(shards, seed).variant(Variant::Scr), 6);
-        check_invariants("SCR", shards, &d, &events);
+        check_invariants("SCR", &world(ProtocolKind::Scr, shards, 61 + i as u64));
     }
 }
 
 #[test]
 fn bft_sharded_invariants_hold() {
     for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
-        let seed = 71 + i as u64;
-        let (d, events) = run(base::<BftProtocol>(shards, seed), 6);
-        check_invariants("BFT", shards, &d, &events);
+        check_invariants("BFT", &world(ProtocolKind::Bft, shards, 71 + i as u64));
     }
 }
 
 #[test]
 fn ct_sharded_invariants_hold() {
     for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
-        let seed = 81 + i as u64;
-        let (d, events) = run(base::<CtProtocol>(shards, seed), 6);
-        check_invariants("CT", shards, &d, &events);
+        check_invariants("CT", &world(ProtocolKind::Ct, shards, 81 + i as u64));
     }
 }
 
@@ -143,20 +121,17 @@ fn ct_sharded_invariants_hold() {
 /// policy (same invariants, different key→shard map).
 #[test]
 fn range_router_isolates_shards_too() {
-    let shards = 4;
-    let (d, events) = run(
-        base::<CtProtocol>(shards, 91).router(ShardRouter::even_ranges(shards)),
-        6,
-    );
-    check_invariants("CT/ranges", shards, &d, &events);
+    let s = world(ProtocolKind::Ct, 4, 91).router(RouterPolicy::EvenRanges);
+    check_invariants("CT/ranges", &s);
 }
 
-/// Sharded worlds are deterministic end to end: two identical builds
-/// realize the identical `(time, node)` observation sequence.
+/// Sharded worlds are deterministic end to end: two identical runs
+/// realize the identical `(time, node)` observation sequence, and a
+/// different seed a different one.
 #[test]
 fn sharded_world_is_deterministic() {
     let trace = |seed| {
-        let (_, events) = run(base::<ScProtocol>(4, seed), 5);
+        let (_, events) = run(&world(ProtocolKind::Sc, 4, seed));
         events
             .into_iter()
             .map(|e| (e.time, e.node, e.event))
@@ -166,21 +141,19 @@ fn sharded_world_is_deterministic() {
     assert_ne!(trace(13), trace(14));
 }
 
-/// Per-shard node-counter aggregation: every shard burned CPU, and the
-/// per-shard aggregates sum to the process-wide totals.
+/// Per-shard engine accounting: every shard's engine ran, and the
+/// per-shard counters sum to the world-wide total.
 #[test]
 fn shard_stats_aggregate_per_group() {
-    let (d, _) = run(base::<CtProtocol>(4, 23), 5);
-    let mut callbacks = 0;
-    for s in 0..d.shard_count() {
-        let stats = d.shard_stats(s);
-        assert!(stats.callbacks > 0, "shard {s} never ran");
-        assert!(stats.busy_ns > 0, "shard {s} burned no CPU");
-        callbacks += stats.callbacks;
+    let (report, _) = run(&world(ProtocolKind::Ct, 4, 23));
+    assert_eq!(report.engine_per_shard.len(), 4);
+    for (s, engine) in report.engine_per_shard.iter().enumerate() {
+        assert!(engine.events_processed > 0, "shard {s} never ran");
     }
-    let process_total: u64 = (0..d.shard_count())
-        .flat_map(|s| d.shard_range(s))
-        .map(|n| d.world.node_stats(n).callbacks)
+    let sum: u64 = report
+        .engine_per_shard
+        .iter()
+        .map(|e| e.events_processed)
         .sum();
-    assert_eq!(callbacks, process_total);
+    assert_eq!(sum, report.engine.events_processed);
 }
