@@ -31,7 +31,7 @@
 //! stacks at once.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -53,6 +53,7 @@ use sofb_ct::sim::CtProtocol;
 use sofb_harness::{analysis, Knobs, Protocol, ProtocolEvent, ProtocolKind, WorldBuilder};
 use sofb_proto::ids::ClientId;
 use sofb_proto::request::{Request, RequestId};
+use sofb_sim::cpu::CpuModel;
 use sofb_sim::engine::{Actor, Ctx, TimedEvent, TimerRequest, WireSize};
 use sofb_sim::time::{SimDuration, SimTime};
 
@@ -74,7 +75,8 @@ static PROFILING: AtomicBool = AtomicBool::new(false);
 
 /// Turns the live profiler on for the rest of the process: node drive
 /// callbacks (`live.node_drive_ns`), wire-command handling
-/// (`live.handle_line_ns`), commit application (`live.commit_apply_ns`),
+/// (`live.handle_line_ns`, one sample per burst of request lines),
+/// commit application (`live.commit_apply_ns`),
 /// connection accepts (`live.accepts`) and replies that could not be
 /// written (`live.reply_write_errors`) start sampling into the shared
 /// registry.
@@ -266,12 +268,6 @@ where
         }
     }
 
-    /// Drains the observations queued so far without blocking (the live
-    /// analog of the simulator world's `drain_events`).
-    pub fn drain_events(&self) -> Vec<TimedEvent<E>> {
-        self.events.try_iter().flatten().collect()
-    }
-
     /// Blocks until a node thread emits observations or `timeout`
     /// elapses, then returns them with whatever else is already queued.
     pub fn wait_events(&self, timeout: Duration) -> Result<Vec<TimedEvent<E>>, RecvTimeoutError> {
@@ -307,8 +303,8 @@ pub struct TraceOp {
     pub seq: u64,
     /// Wall-clock submission offset from the run's start, ns.
     pub at_ns: u64,
-    /// The operation payload.
-    pub payload: Vec<u8>,
+    /// The operation payload (shared with the submitted request).
+    pub payload: Bytes,
 }
 
 /// The recorded delivery trace of a live run: enough to replay the exact
@@ -337,8 +333,6 @@ pub struct LiveTrace {
 pub struct LiveRun {
     /// The recorded trace (feed to [`cross_validate`]).
     pub trace: LiveTrace,
-    /// Reply payload per request id.
-    pub replies: HashMap<RequestId, Vec<u8>>,
     /// Operations executed (exactly once each) by the replica executors.
     pub executed_ops: u64,
     /// Final executed-state digest (audited identical across replicas).
@@ -405,7 +399,7 @@ where
             client: req.id.client.0,
             seq: req.id.seq,
             at_ns: self.epoch.elapsed().as_nanos() as u64,
-            payload: op.to_vec(),
+            payload: op,
         });
         for p in 0..self.n {
             self.host
@@ -425,28 +419,20 @@ where
         }
     }
 
-    /// Absorbs the observations the node threads have queued — each one
-    /// audited once, against the whole session — and returns all replies
-    /// produced so far.
+    /// Blocks on the node threads' observations until `id` has a reply
+    /// or `timeout` elapses, and takes that reply: a second wait on the
+    /// same `id` finds nothing.
     ///
     /// # Panics
     ///
     /// Panics if the live cluster violated total order or the replica
     /// executors diverged — the invariants the simulator pins, audited
     /// on the live path.
-    pub fn poll_replies(&mut self) -> &HashMap<RequestId, Vec<u8>> {
-        let new = self.host.drain_events();
-        Self::absorb(&mut self.core, &new);
-        self.core.replies()
-    }
-
-    /// Blocks on the node threads' observations until `id` has a reply
-    /// or `timeout` elapses.
     pub fn wait_reply(&mut self, id: RequestId, timeout: Duration) -> Option<Vec<u8>> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(r) = self.core.replies().get(&id) {
-                return Some(r.clone());
+            if let Some(r) = self.core.take_reply(id) {
+                return Some(r);
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
             let events = self.host.wait_events(remaining).ok()?;
@@ -471,7 +457,7 @@ where
         // Flush: give in-flight batches a chance to commit so the trace
         // closes with ops and commits matching.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while self.core.replies().len() < self.ops.len() {
+        while self.core.executed_ops() < self.ops.len() as u64 {
             let remaining = deadline.saturating_duration_since(Instant::now());
             let Ok(events) = self.host.wait_events(remaining) else {
                 break;
@@ -491,7 +477,6 @@ where
         };
         LiveRun {
             trace,
-            replies: self.core.replies().clone(),
             executed_ops: self.core.executed_ops(),
             state_digest: self.core.state_digest(),
         }
@@ -714,7 +699,7 @@ impl LiveTrace {
                         client,
                         seq,
                         at_ns,
-                        payload,
+                        payload: payload.into(),
                     });
                 }
                 Some("commit") => {
@@ -758,7 +743,16 @@ fn replay_commit_order<P: Protocol>(trace: &LiveTrace, kind: ProtocolKind) -> Ve
     if let Some(v) = kind.variant() {
         knobs.variant = v;
     }
-    let mut d = WorldBuilder::<P>::new(trace.f).knobs(knobs).build();
+    // No modelled CPU: the default model is the paper's 2006 host (1 ms
+    // per event, thrashing past 96 queued events), which a trace offered
+    // at today's live rate drives into overload for hundreds of simulated
+    // seconds — past the drain horizon below. The live nodes paid real
+    // costs, not modelled ones; timing moves batch boundaries, never the
+    // flattened order.
+    let mut d = WorldBuilder::<P>::new(trace.f)
+        .knobs(knobs)
+        .cpu(CpuModel::zero())
+        .build();
     d.start();
     // Inject each op at its recorded wall-clock offset (clamped
     // nondecreasing): the simulated world sees the same workload on the
@@ -835,8 +829,8 @@ pub struct ServeOptions {
     /// Exit the accept loop after this long (CI smoke runs); `None`
     /// serves until a `shutdown` command arrives.
     pub lifetime: Option<Duration>,
-    /// How long one request may wait for its commit before the client
-    /// gets `err timeout`.
+    /// How long requests submitted together may wait for their commits
+    /// before each one still uncommitted gets `err timeout`.
     pub reply_timeout: Duration,
 }
 
@@ -887,23 +881,84 @@ fn parse_wire_op(parts: &[&str]) -> Result<Option<KvOp>, String> {
     }
 }
 
-/// Handles one request line; the bool says "shut the server down".
-fn handle_line(line: &str, svc: &mut Box<dyn LiveKv>, opts: &ServeOptions) -> (String, bool) {
+/// Longest request line [`serve`] buffers, its `\n` included. A client
+/// that sends more without a newline gets `err line too long` and is
+/// disconnected.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One line's place in a burst's replies.
+enum Slot {
+    /// The reply text.
+    Ready(String),
+    /// A submitted op whose commit is awaited.
+    Pending(RequestId),
+}
+
+/// What a burst of request lines produced.
+struct Burst {
+    /// One reply per handled line, each with its `\n`, in line order.
+    replies: String,
+    /// Lines handled: all of them, or up to and including a `shutdown`.
+    lines: u64,
+    /// A `shutdown` ended the burst.
+    shutdown: bool,
+}
+
+/// Handles a burst of request lines: submits every ordered op before
+/// waiting on any, then answers each line in order. A `digest` first
+/// waits for the ops before it (read-your-write); a `shutdown` is
+/// answered after every line before it, and the lines after it are not
+/// handled.
+fn handle_lines(lines: &[&str], svc: &mut dyn LiveKv, opts: &ServeOptions) -> Burst {
     use sofb_proto::codec::Encode as _;
-    let parts: Vec<&str> = line.split_ascii_whitespace().collect();
-    if parts.first().copied() == Some("shutdown") {
-        return ("ok bye".to_string(), true);
-    }
-    match parse_wire_op(&parts) {
-        Ok(Some(op)) => {
-            let id = svc.submit(op.to_bytes());
-            match svc.wait_reply(id, opts.reply_timeout) {
-                Some(reply) => (format!("ok {}", hex_encode(&reply)), false),
-                None => ("err timeout waiting for commit".to_string(), false),
-            }
+    let mut slots = Vec::with_capacity(lines.len());
+    let mut shutdown = false;
+    for line in lines {
+        let parts: Vec<&str> = line.split_ascii_whitespace().collect();
+        if parts.first().copied() == Some("shutdown") {
+            slots.push(Slot::Ready("ok bye".to_string()));
+            shutdown = true;
+            break;
         }
-        Ok(None) => (format!("ok {}", hex_encode(&svc.state_digest())), false),
-        Err(msg) => (format!("err {msg}"), false),
+        match parse_wire_op(&parts) {
+            Ok(Some(op)) => slots.push(Slot::Pending(svc.submit(op.to_bytes()))),
+            Ok(None) => {
+                settle(&mut slots, svc, opts);
+                slots.push(Slot::Ready(format!(
+                    "ok {}",
+                    hex_encode(&svc.state_digest())
+                )));
+            }
+            Err(msg) => slots.push(Slot::Ready(format!("err {msg}"))),
+        }
+    }
+    settle(&mut slots, svc, opts);
+    let mut replies = String::new();
+    for slot in &slots {
+        if let Slot::Ready(text) = slot {
+            replies.push_str(text);
+            replies.push('\n');
+        }
+    }
+    Burst {
+        replies,
+        lines: slots.len() as u64,
+        shutdown,
+    }
+}
+
+/// Waits for the pending ops' replies in FIFO order, all against one
+/// deadline `reply_timeout` from now (they were submitted together).
+fn settle(slots: &mut [Slot], svc: &mut dyn LiveKv, opts: &ServeOptions) {
+    let deadline = Instant::now() + opts.reply_timeout;
+    for slot in slots {
+        if let Slot::Pending(id) = *slot {
+            let left = deadline.saturating_duration_since(Instant::now());
+            *slot = Slot::Ready(match svc.wait_reply(id, left) {
+                Some(reply) => format!("ok {}", hex_encode(&reply)),
+                None => "err timeout waiting for commit".to_string(),
+            });
+        }
     }
 }
 
@@ -913,7 +968,11 @@ fn handle_line(line: &str, svc: &mut Box<dyn LiveKv>, opts: &ServeOptions) -> (S
 ///
 /// One connection is served at a time (the service gateway is a single
 /// totally-ordered client); the listener stays nonblocking so the
-/// lifetime deadline is honored even while idle.
+/// lifetime deadline is honored even while idle. Pipelined requests are
+/// served a burst at a time: a complete line plus every further complete
+/// line already read into the connection's buffer, all ordered ops
+/// submitted before any is waited on, and the replies sent in order in
+/// one write.
 pub fn serve(
     listener: TcpListener,
     mut svc: Box<dyn LiveKv>,
@@ -937,22 +996,38 @@ pub fn serve(
                 // times out mid-line leaves what arrived so far in here.
                 let mut line = Vec::new();
                 loop {
-                    match reader.read_until(b'\n', &mut line) {
+                    let room = (MAX_LINE_BYTES - line.len()) as u64;
+                    match (&mut reader).take(room).read_until(b'\n', &mut line) {
                         Ok(0) => break, // connection closed
+                        Ok(_) if line.len() >= MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                            if stream.write_all(b"err line too long\n").is_err() {
+                                prof_count("live.reply_write_errors", 1);
+                            }
+                            break;
+                        }
                         Ok(_) => {
-                            let (mut resp, shutdown) = prof_time("live.handle_line_ns", || {
-                                handle_line(String::from_utf8_lossy(&line).trim(), &mut svc, opts)
+                            // The burst: every further complete line the
+                            // buffer already holds (no syscall, never
+                            // blocks); a partial last line stays buffered.
+                            let buffered = reader.buffer();
+                            if let Some(end) = buffered.iter().rposition(|&b| b == b'\n') {
+                                line.extend_from_slice(&buffered[..=end]);
+                                reader.consume(end + 1);
+                            }
+                            let burst = prof_time("live.handle_line_ns", || {
+                                let text = String::from_utf8_lossy(&line);
+                                let lines: Vec<&str> = text.lines().map(str::trim).collect();
+                                handle_lines(&lines, svc.as_mut(), opts)
                             });
                             line.clear();
-                            calls += 1;
-                            // The reply and its newline leave in one write:
-                            // one segment, nothing held back for an ACK.
-                            resp.push('\n');
-                            if stream.write_all(resp.as_bytes()).is_err() {
+                            calls += burst.lines;
+                            // Every reply with its newline leaves in one
+                            // write: nothing held back for an ACK.
+                            if stream.write_all(burst.replies.as_bytes()).is_err() {
                                 prof_count("live.reply_write_errors", 1);
                                 break;
                             }
-                            if shutdown {
+                            if burst.shutdown {
                                 stop = true;
                                 break;
                             }
@@ -1101,13 +1176,13 @@ mod tests {
                     client: 0,
                     seq: 1,
                     at_ns: 12_345,
-                    payload: vec![0xde, 0xad],
+                    payload: Bytes::from(vec![0xde, 0xad]),
                 },
                 TraceOp {
                     client: 0,
                     seq: 2,
                     at_ns: 99_999,
-                    payload: vec![0x00],
+                    payload: Bytes::from(vec![0x00]),
                 },
             ],
             commit_order: vec![

@@ -116,8 +116,8 @@ impl<S: StateMachine> ServiceCore<S> {
         }
     }
 
-    /// Mints the next request carrying `op` and tracks its payload for
-    /// execution once committed.
+    /// Mints the next request carrying `op` and tracks its payload until
+    /// it is executed.
     pub(crate) fn next_request(&mut self, op: bytes::Bytes) -> Request {
         self.next_seq += 1;
         let req = Request::new(self.client, self.next_seq, op);
@@ -141,8 +141,9 @@ impl<S: StateMachine> ServiceCore<S> {
         Ok(admitted)
     }
 
-    /// Executes every newly gap-free batch on all replica executors and
-    /// cross-checks their state digests.
+    /// Executes every newly gap-free batch on all replica executors,
+    /// cross-checks their state digests and forgets the executed
+    /// requests' payloads.
     ///
     /// # Panics
     ///
@@ -154,15 +155,17 @@ impl<S: StateMachine> ServiceCore<S> {
             let Some(ids) = self.commits.get(next) else {
                 break;
             };
-            let ops: Vec<Vec<u8>> = ids
+            let Some(ops) = ids
                 .iter()
-                .filter_map(|id| self.requests.get(id))
-                .map(|r| r.payload.to_vec())
-                .collect();
-            if ops.len() != ids.len() {
+                .map(|id| self.requests.get(id).map(|r| r.payload.clone()))
+                .collect::<Option<Vec<bytes::Bytes>>>()
+            else {
                 // Should not happen: we are the only client, so we hold
                 // every payload. Leave the batch where it is and stop.
                 break;
+            };
+            for id in ids.iter() {
+                self.requests.remove(id);
             }
             let mut replica_replies: Option<Vec<Vec<u8>>> = None;
             for ex in &mut self.executors {
@@ -183,6 +186,11 @@ impl<S: StateMachine> ServiceCore<S> {
     /// All replies produced so far (replica 0's).
     pub(crate) fn replies(&self) -> &HashMap<RequestId, Vec<u8>> {
         &self.replies
+    }
+
+    /// Removes and returns `id`'s reply, if it has one yet.
+    pub(crate) fn take_reply(&mut self, id: RequestId) -> Option<Vec<u8>> {
+        self.replies.remove(&id)
     }
 
     /// Request ids in the order the ordering layer committed them.
@@ -369,6 +377,27 @@ mod tests {
             "unexpected message: {err}"
         );
         assert_eq!(core.stage(&[committed(0, 2, 9)]), Ok(true));
+    }
+
+    /// The gateway keeps no per-op state past execution: an executed
+    /// request's payload is dropped, and a taken reply is gone.
+    #[test]
+    fn executed_requests_are_forgotten() {
+        let mut core = ServiceCore::new(3, KvStore::new);
+        let a = core.next_request(put("x", "1").into());
+        let b = core.next_request(get("x").into());
+        assert_eq!(core.requests.len(), 2);
+        let mut commit = committed(0, 1, 7);
+        if let ProtocolEvent::Committed { request_ids, .. } = &mut commit.event {
+            *request_ids = vec![a.id, b.id].into();
+        }
+        assert_eq!(core.stage(&[commit]), Ok(true));
+        core.execute_ready();
+        assert_eq!(core.executed_ops(), 2);
+        assert!(core.requests.is_empty(), "executed payloads retained");
+        assert_eq!(core.take_reply(b.id).as_deref(), Some(&b"1"[..]));
+        assert_eq!(core.take_reply(b.id), None);
+        assert_eq!(core.replies().len(), 1);
     }
 
     #[test]

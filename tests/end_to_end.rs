@@ -329,6 +329,54 @@ fn live_trace_cross_validates_against_all_four_simulated_variants() {
     );
 }
 
+/// A trace offered faster than the default modelled CPU (1 ms per event)
+/// can serve — here 2 s at 2 000 ops/s, a pipelined live client's pace —
+/// still replays to completion inside the drain horizon on every variant.
+#[test]
+fn a_flood_trace_cross_validates_on_all_four_variants() {
+    use sofbyz::proto::request::RequestId;
+    use sofbyz::runtime::TraceOp;
+    const OPS: u64 = 4_000;
+    let ops: Vec<TraceOp> = (1..=OPS)
+        .map(|seq| TraceOp {
+            client: 0,
+            seq,
+            at_ns: seq * 500_000,
+            payload: KvOp::Put {
+                key: format!("k{}", seq % 100).into_bytes(),
+                value: vec![0xab; 100],
+            }
+            .to_bytes()
+            .into(),
+        })
+        .collect();
+    let commit_order = ops
+        .iter()
+        .map(|op| RequestId {
+            client: ClientId(op.client),
+            seq: op.seq,
+        })
+        .collect();
+    let knobs = live_knobs();
+    let trace = LiveTrace {
+        kind: ProtocolKind::Sc,
+        f: 1,
+        scheme: knobs.scheme,
+        interval_ns: knobs.batching_interval.as_ns(),
+        seed: 7,
+        ops,
+        commit_order,
+    };
+    let per_variant = runtime::cross_validate(&trace).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(per_variant.len(), 4);
+    assert!(
+        per_variant
+            .iter()
+            .all(|(_, commits)| *commits == OPS as usize),
+        "{per_variant:?}"
+    );
+}
+
 /// A live SC node behind `runtime::serve` on an ephemeral port.
 fn live_node() -> (
     std::net::SocketAddr,
@@ -402,6 +450,150 @@ fn serve_sends_each_reply_as_one_segment() {
     let outcome = stop_live_node(addr, server);
     assert_eq!(outcome.calls, 21);
     assert_eq!(outcome.run.executed_ops, 20);
+}
+
+/// 32 pipelined lines in one write are one burst: every ordered op is
+/// submitted before any is waited on, and each line gets its reply in
+/// place — read-your-write values, the bad command's `err`, a `digest`
+/// that has seen every op before it.
+#[test]
+fn serve_answers_a_pipelined_burst_in_order() {
+    use std::io::{BufRead, BufReader, Write};
+    const BAD: usize = 10;
+    const LINES: usize = 32;
+    let (addr, server) = live_node();
+    // What one FIFO client must read back: the node's replies are a
+    // local store's, applied in line order.
+    let mut model = KvStore::new();
+    let mut request = String::new();
+    let mut want: Vec<Option<Vec<u8>>> = Vec::new();
+    for i in 0..LINES {
+        let key = format!("k{}", (i / 2) % 3);
+        let (line, reply) = if i == BAD {
+            ("frobnicate".to_string(), None)
+        } else if i == LINES - 1 {
+            ("digest".to_string(), Some(model.state_digest()))
+        } else if i % 2 == 0 {
+            let value = format!("v{i}");
+            let op = KvOp::Put {
+                key: key.clone().into_bytes(),
+                value: value.clone().into_bytes(),
+            };
+            (
+                runtime::wire_line("put", &[key, value]),
+                Some(model.apply_op(&op)),
+            )
+        } else {
+            let op = KvOp::Get {
+                key: key.clone().into_bytes(),
+            };
+            (runtime::wire_line("get", &[key]), Some(model.apply_op(&op)))
+        };
+        request.push_str(&line);
+        request.push('\n');
+        want.push(reply);
+    }
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    conn.write_all(request.as_bytes()).expect("burst");
+    let mut reader = BufReader::new(&conn);
+    for (i, want) in want.iter().enumerate() {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply line");
+        let got = runtime::decode_reply(reply.trim_end());
+        match want {
+            Some(bytes) => assert_eq!(got.as_ref(), Ok(bytes), "line {i}: {reply:?}"),
+            None => assert!(reply.starts_with("err bad command"), "line {i}: {reply:?}"),
+        }
+    }
+    drop(reader);
+    drop(conn);
+    let outcome = stop_live_node(addr, server);
+    let ordered = LINES as u64 - 2;
+    assert_eq!(
+        outcome.calls,
+        LINES as u64 + 1,
+        "the burst's lines + shutdown"
+    );
+    assert_eq!(outcome.run.executed_ops, ordered);
+    let trace = &outcome.run.trace;
+    assert_eq!(trace.ops.len() as u64, ordered);
+    let first = trace.ops.first().expect("ops").at_ns;
+    let last = trace.ops.last().expect("ops").at_ns;
+    assert!(
+        last - first < trace.interval_ns,
+        "ops were submitted {} ns apart: not before any wait",
+        last - first
+    );
+}
+
+/// A `shutdown` mid-burst is answered after every line before it; the
+/// lines after it are not handled.
+#[test]
+fn serve_answers_a_burst_before_its_shutdown() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, server) = live_node();
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let put = |v: &str| runtime::wire_line("put", &["k".into(), v.into()]);
+    let get = runtime::wire_line("get", &["k".into()]);
+    let burst = format!("{}\n{get}\nshutdown\n{}\n{get}\n", put("v1"), put("v2"));
+    conn.write_all(burst.as_bytes()).expect("burst");
+    // Everything up to the server's hang-up.
+    let replies: Vec<String> = BufReader::new(&conn)
+        .lines()
+        .map(|l| l.expect("reply line"))
+        .collect();
+    assert_eq!(replies, ["ok 4f4b", "ok 7631", "ok bye"]);
+    let outcome = server.join().expect("server thread");
+    assert_eq!(outcome.calls, 3);
+    assert_eq!(outcome.run.trace.ops.len(), 2);
+    assert_eq!(outcome.run.executed_ops, 2);
+}
+
+/// A client that never sends a newline cannot grow the server's memory
+/// past one maximal line: it gets `err line too long` and is
+/// disconnected, and the next client is served.
+#[test]
+fn serve_refuses_an_oversized_line_and_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, server) = live_node();
+    let conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut writer = conn.try_clone().expect("clone");
+    // The server stops reading at its cap, so the rest of the 2 MiB may
+    // never be taken: write from a second thread and let it fail.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'a'; 2 << 20]);
+    });
+    let mut reader = BufReader::new(&conn);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("reply line");
+    assert_eq!(reply, "err line too long\n");
+    // Then the server hangs up: end of stream, or a reset if it closed
+    // with part of the flood unread.
+    let mut rest = String::new();
+    match reader.read_line(&mut rest) {
+        Ok(n) => assert_eq!(n, 0, "after the refusal: {rest:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+    }
+    drop(reader);
+    drop(conn);
+    flood.join().expect("writer thread");
+    let t = Duration::from_secs(20);
+    let put = runtime::call(
+        addr,
+        &runtime::wire_line("put", &["k".into(), "v".into()]),
+        t,
+    )
+    .expect("put call");
+    assert_eq!(runtime::decode_reply(&put).as_deref(), Ok(&b"OK"[..]));
+    let outcome = stop_live_node(addr, server);
+    assert_eq!(outcome.run.executed_ops, 1);
+    assert_eq!(outcome.calls, 2, "put + shutdown");
 }
 
 #[test]
