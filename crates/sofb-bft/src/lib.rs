@@ -13,17 +13,16 @@
 //! # Examples
 //!
 //! ```
-//! use sofb_bft::sim::BftWorldBuilder;
-//! use sofb_core::analysis;
-//! use sofb_crypto::scheme::SchemeId;
+//! use sofb_bft::sim::BftProtocol;
+//! use sofb_harness::{analysis, ClientSpec, WorldBuilder};
 //! use sofb_sim::time::SimTime;
 //!
-//! let (mut world, _n) = BftWorldBuilder::new(1, SchemeId::Md5Rsa1024)
-//!     .client(50.0, 100, SimTime::from_secs(1))
+//! let mut d = WorldBuilder::<BftProtocol>::new(1)
+//!     .client(ClientSpec::new(50.0, 100, SimTime::from_secs(1)))
 //!     .build();
-//! world.start();
-//! world.run_until(SimTime::from_secs(3));
-//! let events = world.drain_events();
+//! d.start();
+//! d.run_until(SimTime::from_secs(3));
+//! let events = d.world.drain_events();
 //! analysis::check_total_order(&events).expect("no divergent commits");
 //! ```
 

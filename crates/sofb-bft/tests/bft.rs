@@ -1,24 +1,23 @@
 //! End-to-end BFT baseline tests.
 
-use sofb_bft::sim::BftWorldBuilder;
-use sofb_core::analysis;
+use sofb_bft::sim::{BftByz, BftProtocol};
 use sofb_core::events::ScEvent;
-use sofb_crypto::scheme::SchemeId;
-use sofb_proto::ids::SeqNo;
+use sofb_harness::{analysis, ClientSpec, FaultSpec, WorldBuilder};
+use sofb_proto::ids::{ProcessId, SeqNo};
 use sofb_sim::time::{SimDuration, SimTime};
 
 #[test]
 fn failfree_ordering() {
-    let (mut world, n) = BftWorldBuilder::new(2, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<BftProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
-        .client(100.0, 100, SimTime::from_secs(2))
+        .client(ClientSpec::new(100.0, 100, SimTime::from_secs(2)))
         .seed(5)
         .build();
-    world.start();
-    world.run_until(SimTime::from_secs(4));
-    let events = world.drain_events();
+    d.start();
+    d.run_until(SimTime::from_secs(4));
+    let events = d.world.drain_events();
     analysis::check_total_order(&events).unwrap();
-    let nodes: Vec<usize> = (0..n).collect();
+    let nodes: Vec<usize> = (0..d.n_processes).collect();
     let prefix = analysis::common_committed_prefix(&events, &nodes).expect("all commit");
     assert!(prefix >= SeqNo(10), "prefix {prefix:?}");
 }
@@ -28,14 +27,14 @@ fn latency_exceeds_sc_phase_count() {
     // Sanity on the comparative claim: BFT's n-to-n prepare phase adds
     // verification load, so the fail-free latency should exceed a small
     // floor driven by crypto costs (sign 5 ms + verify rounds).
-    let (mut world, _) = BftWorldBuilder::new(2, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<BftProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(200))
-        .client(50.0, 100, SimTime::from_secs(2))
+        .client(ClientSpec::new(50.0, 100, SimTime::from_secs(2)))
         .seed(6)
         .build();
-    world.start();
-    world.run_until(SimTime::from_secs(4));
-    let events = world.drain_events();
+    d.start();
+    d.run_until(SimTime::from_secs(4));
+    let events = d.world.drain_events();
     let lat = analysis::mean_latency_ms(&events, SimTime::from_ms(500)).expect("commits");
     assert!(lat > 10.0, "BFT latency implausibly low: {lat} ms");
     assert!(lat < 500.0, "BFT latency implausibly high: {lat} ms");
@@ -43,16 +42,16 @@ fn latency_exceeds_sc_phase_count() {
 
 #[test]
 fn mute_primary_triggers_view_change() {
-    let (mut world, _) = BftWorldBuilder::new(2, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<BftProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .request_timeout(SimDuration::from_ms(400))
-        .mute_primary()
-        .client(100.0, 100, SimTime::from_secs(3))
+        .fault(ProcessId(0), FaultSpec::Byzantine(BftByz::MutePrimary))
+        .client(ClientSpec::new(100.0, 100, SimTime::from_secs(3)))
         .seed(7)
         .build();
-    world.start();
-    world.run_until(SimTime::from_secs(8));
-    let events = world.drain_events();
+    d.start();
+    d.run_until(SimTime::from_secs(8));
+    let events = d.world.drain_events();
     analysis::check_total_order(&events).unwrap();
     assert!(
         events
@@ -73,13 +72,13 @@ fn mute_primary_triggers_view_change() {
 #[test]
 fn deterministic_with_seed() {
     let run = |seed| {
-        let (mut world, _) = BftWorldBuilder::new(1, SchemeId::Md5Rsa1024)
-            .client(100.0, 100, SimTime::from_secs(1))
+        let mut d = WorldBuilder::<BftProtocol>::new(1)
+            .client(ClientSpec::new(100.0, 100, SimTime::from_secs(1)))
             .seed(seed)
             .build();
-        world.start();
-        world.run_until(SimTime::from_secs(2));
-        world
+        d.start();
+        d.run_until(SimTime::from_secs(2));
+        d.world
             .drain_events()
             .iter()
             .filter(|e| matches!(e.event, ScEvent::Committed { .. }))

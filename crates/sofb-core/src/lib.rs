@@ -9,36 +9,34 @@
 //! * [`messages`] — the wire protocol;
 //! * [`order_log`] — N1–N3 bookkeeping and commitment proofs;
 //! * [`install`] — `NewBackLog` computation and verification;
-//! * [`sim`] — deployment assembly inside the discrete-event simulator;
-//! * [`analysis`] — the §5 measurements and safety checkers.
+//! * [`sim`] — [`sim::ScProtocol`], the SC/SCR [`Protocol`] that
+//!   [`WorldBuilder`] assembles into a simulated deployment.
+//!
+//! The §5 measurements and safety checkers are [`sofb_harness::analysis`],
+//! shared by every variant.
+//!
+//! [`Protocol`]: sofb_harness::Protocol
+//! [`WorldBuilder`]: sofb_harness::WorldBuilder
 //!
 //! # Examples
 //!
 //! ```
-//! use sofb_core::analysis;
-//! use sofb_core::sim::ScWorldBuilder;
-//! use sofb_crypto::scheme::SchemeId;
-//! use sofb_harness::ClientSpec; // one client-spec shape for every variant
-//! use sofb_proto::topology::Variant;
+//! use sofb_core::sim::ScProtocol;
+//! use sofb_harness::{analysis, ClientSpec, WorldBuilder};
 //! use sofb_sim::time::SimTime;
 //!
-//! let mut deployment = ScWorldBuilder::new(1, Variant::Sc, SchemeId::Md5Rsa1024)
-//!     .client(ClientSpec {
-//!         rate_per_sec: 50.0,
-//!         request_size: 100,
-//!         stop_at: SimTime::from_secs(1),
-//!     })
+//! let mut d = WorldBuilder::<ScProtocol>::new(1)
+//!     .client(ClientSpec::new(50.0, 100, SimTime::from_secs(1)))
 //!     .build();
-//! deployment.start();
-//! deployment.run_until(SimTime::from_secs(3));
-//! let events = deployment.world.drain_events();
+//! d.start();
+//! d.run_until(SimTime::from_secs(3));
+//! let events = d.world.drain_events();
 //! analysis::check_total_order(&events).expect("no divergent commits");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod checkpoint;
 pub mod config;
 pub mod events;

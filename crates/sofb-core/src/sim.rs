@@ -1,5 +1,4 @@
-//! Harness glue: the SC/SCR [`Protocol`] implementation and the
-//! historical [`ScWorldBuilder`] facade.
+//! Harness glue: the SC/SCR [`Protocol`] implementation.
 //!
 //! Deployment assembly itself — clients, network, fault scheduling — is
 //! the generic [`sofb_harness::WorldBuilder`]; this module contributes
@@ -8,28 +7,17 @@
 //! pre-signed fail-signals (§3.2), and per-process `ScConfig` synthesis.
 
 use sofb_crypto::provider::{CryptoProvider, Dealer};
-use sofb_crypto::scheme::SchemeId;
-use sofb_harness::{Deployment, FaultSpec, Knobs, Links, Protocol, WorldBuilder};
+use sofb_harness::{Knobs, Links, Protocol};
 use sofb_proto::ids::{ProcessId, Rank};
 use sofb_proto::signed::Signed;
-use sofb_proto::topology::{Candidate, Topology, Variant};
-use sofb_sim::cpu::CpuModel;
-use sofb_sim::delay::{LinkModel, NetworkModel};
-use sofb_sim::engine::{Actor, World};
-use sofb_sim::time::{SimDuration, SimTime};
+use sofb_proto::topology::{Candidate, Topology};
+use sofb_sim::delay::NetworkModel;
+use sofb_sim::engine::Actor;
 
 use crate::config::{Fault, ScConfig};
 use crate::events::ScEvent;
 use crate::messages::{FailSignalPayload, ScMsg};
 use crate::process::ScProcess;
-
-// The client-spec shape is the harness type — `sofb_core::sim::ClientSpec`
-// is the same struct as `sofb_harness::ClientSpec`, re-exported here only
-// so historical call sites keep compiling. New code should name the
-// harness path (or go through `Scenario`).
-pub use sofb_harness::{
-    Arrival, ClientActor, ClientSpec, RouterConfigError, ShardLoad, ShardRouter,
-};
 
 /// The SC/SCR protocol, as hosted by the generic harness.
 ///
@@ -128,135 +116,5 @@ impl Protocol for ScProtocol {
         // value-domain check. This is what lets declarative scenarios
         // express the fail-over sweeps.
         Some(Fault::CorruptOrderAt(o))
-    }
-}
-
-/// Builder for a complete simulated SC/SCR deployment (thin facade over
-/// the generic [`WorldBuilder`]; kept so existing experiments, tests and
-/// examples read unchanged).
-#[derive(Debug)]
-pub struct ScWorldBuilder {
-    inner: WorldBuilder<ScProtocol>,
-}
-
-impl ScWorldBuilder {
-    /// Starts a builder for resilience `f` under the given variant and
-    /// crypto scheme.
-    pub fn new(f: u32, variant: Variant, scheme: SchemeId) -> Self {
-        ScWorldBuilder {
-            inner: WorldBuilder::new(f).variant(variant).scheme(scheme),
-        }
-    }
-
-    /// Sets the deterministic seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner = self.inner.seed(seed);
-        self
-    }
-
-    /// Sets the batching interval (the paper sweeps 40–500 ms).
-    pub fn batching_interval(mut self, d: SimDuration) -> Self {
-        self.inner = self.inner.batching_interval(d);
-        self
-    }
-
-    /// Sets the shadow's proposal-timeliness estimate.
-    pub fn order_timeout(mut self, d: SimDuration) -> Self {
-        self.inner = self.inner.order_timeout(d);
-        self
-    }
-
-    /// Pads BackLogs (Figure 6's size sweep).
-    pub fn backlog_pad(mut self, pad: usize) -> Self {
-        self.inner = self.inner.backlog_pad(pad);
-        self
-    }
-
-    /// Sets the checkpoint interval (0 disables log truncation).
-    pub fn checkpoint_interval(mut self, every: u64) -> Self {
-        self.inner = self.inner.checkpoint_interval(every);
-        self
-    }
-
-    /// Enables/disables time-domain detection (see `ScConfig`).
-    pub fn time_checks(mut self, on: bool) -> Self {
-        self.inner = self.inner.time_checks(on);
-        self
-    }
-
-    /// Overrides the CPU model of every process node.
-    pub fn cpu(mut self, cpu: CpuModel) -> Self {
-        self.inner = self.inner.cpu(cpu);
-        self
-    }
-
-    /// Installs a scripted Byzantine fault on one process.
-    pub fn fault(mut self, p: ProcessId, fault: Fault) -> Self {
-        self.inner = self.inner.fault(p, FaultSpec::Byzantine(fault));
-        self
-    }
-
-    /// Installs any uniform fault (crash / mute / delay / Byzantine) on
-    /// one process.
-    pub fn fault_spec(mut self, p: ProcessId, spec: FaultSpec<Fault>) -> Self {
-        self.inner = self.inner.fault(p, spec);
-        self
-    }
-
-    /// Adds a constant-rate client.
-    pub fn client(mut self, spec: ClientSpec) -> Self {
-        self.inner = self.inner.client(spec);
-        self
-    }
-
-    /// Adds an open-loop Poisson client.
-    pub fn poisson_client(mut self, spec: ClientSpec) -> Self {
-        self.inner = self.inner.poisson_client(spec);
-        self
-    }
-
-    /// Overrides the asynchronous-network link model (e.g. partial
-    /// synchrony for SCR experiments).
-    pub fn lan_link(mut self, link: LinkModel) -> Self {
-        self.inner = self.inner.lan_link(link);
-        self
-    }
-
-    /// Overrides the intra-pair link model.
-    pub fn pair_link(mut self, link: LinkModel) -> Self {
-        self.inner = self.inner.pair_link(link);
-        self
-    }
-
-    /// Assembles the world.
-    pub fn build(self) -> ScWorld {
-        let deployment: Deployment<ScProtocol> = self.inner.build();
-        ScWorld {
-            topology: Topology::new(deployment.knobs.f, deployment.knobs.variant),
-            world: deployment.world,
-            client_nodes: deployment.client_nodes,
-        }
-    }
-}
-
-/// A built SC/SCR deployment.
-pub struct ScWorld {
-    /// The simulator world (drive with `start`/`run_until`).
-    pub world: World<ScMsg, ScEvent>,
-    /// The deployment layout.
-    pub topology: Topology,
-    /// Node indices of the synthetic clients.
-    pub client_nodes: Vec<usize>,
-}
-
-impl ScWorld {
-    /// Starts all nodes.
-    pub fn start(&mut self) {
-        self.world.start();
-    }
-
-    /// Runs until the given virtual time.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.world.run_until(t);
     }
 }

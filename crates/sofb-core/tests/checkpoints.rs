@@ -2,26 +2,21 @@
 //! checkpoint digests agree across replicas, and fail-over still works
 //! from a truncated log.
 
-use sofb_core::analysis;
 use sofb_core::config::Fault;
 use sofb_core::events::ScEvent;
-use sofb_core::sim::{ClientSpec, ScWorldBuilder};
-use sofb_crypto::scheme::SchemeId;
+use sofb_core::sim::ScProtocol;
+use sofb_harness::{analysis, ClientSpec, FaultSpec, WorldBuilder};
 use sofb_proto::ids::{ProcessId, Rank, SeqNo};
 use sofb_proto::topology::Variant;
 use sofb_sim::time::{SimDuration, SimTime};
 
 fn client(rate: f64, stop_s: u64) -> ClientSpec {
-    ClientSpec {
-        rate_per_sec: rate,
-        request_size: 100,
-        stop_at: SimTime::from_secs(stop_s),
-    }
+    ClientSpec::new(rate, 100, SimTime::from_secs(stop_s))
 }
 
 #[test]
 fn checkpoints_stabilize_under_sustained_load() {
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(40))
         .checkpoint_interval(8)
         .client(client(300.0, 4))
@@ -40,7 +35,7 @@ fn checkpoints_stabilize_under_sustained_load() {
         })
         .collect();
     assert!(
-        stables.len() >= d.topology.n(),
+        stables.len() >= d.n_processes,
         "every process should stabilize at least one checkpoint: {stables:?}"
     );
     // Stable points advance (more than one boundary crossed).
@@ -50,7 +45,7 @@ fn checkpoints_stabilize_under_sustained_load() {
 
 #[test]
 fn checkpointing_disabled_emits_nothing() {
-    let mut d = ScWorldBuilder::new(1, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(1)
         .batching_interval(SimDuration::from_ms(50))
         .checkpoint_interval(0)
         .client(client(200.0, 2))
@@ -69,11 +64,14 @@ fn checkpointing_disabled_emits_nothing() {
 fn failover_after_truncation_still_works() {
     // Enough traffic to cross several checkpoint boundaries before the
     // fault fires; the BackLogs then come from truncated logs.
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(40))
         .checkpoint_interval(8)
         .client(client(300.0, 6))
-        .fault(ProcessId(0), Fault::CorruptOrderAt(SeqNo(40)))
+        .fault(
+            ProcessId(0),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(40))),
+        )
         .seed(79)
         .build();
     d.start();
@@ -103,7 +101,8 @@ fn failover_after_truncation_still_works() {
 
 #[test]
 fn scr_checkpoints_work_too() {
-    let mut d = ScWorldBuilder::new(2, Variant::Scr, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
+        .variant(Variant::Scr)
         .batching_interval(SimDuration::from_ms(40))
         .checkpoint_interval(8)
         .client(client(300.0, 4))

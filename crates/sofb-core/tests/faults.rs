@@ -1,28 +1,23 @@
 //! Failure-injection tests beyond the scripted Byzantine faults: crashes,
 //! batching limits, larger deployments, and the SCR Unwilling path.
 
-use sofb_core::analysis;
 use sofb_core::config::Fault;
 use sofb_core::events::ScEvent;
-use sofb_core::sim::{ClientSpec, ScWorldBuilder};
-use sofb_crypto::scheme::SchemeId;
+use sofb_core::sim::ScProtocol;
+use sofb_harness::{analysis, ClientSpec, FaultSpec, WorldBuilder};
 use sofb_proto::ids::{ProcessId, Rank, SeqNo};
 use sofb_proto::topology::Variant;
 use sofb_sim::time::{SimDuration, SimTime};
 
 fn client(rate: f64, stop_s: u64) -> ClientSpec {
-    ClientSpec {
-        rate_per_sec: rate,
-        request_size: 100,
-        stop_at: SimTime::from_secs(stop_s),
-    }
+    ClientSpec::new(rate, 100, SimTime::from_secs(stop_s))
 }
 
 #[test]
 fn crashed_coordinator_replica_detected_by_heartbeats() {
     // Crash p1 (the rank-1 coordinator replica) outright; its shadow's
     // heartbeat window expires (time-domain) and rank 2 takes over.
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 4))
         .seed(41)
@@ -56,7 +51,7 @@ fn crashed_coordinator_replica_detected_by_heartbeats() {
 fn crashed_shadow_detected_by_replica() {
     // Crash the rank-1 shadow (p'1, node 5): the replica stops receiving
     // heartbeats and fail-signals; installation proceeds.
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 4))
         .seed(43)
@@ -81,7 +76,7 @@ fn crashed_shadow_detected_by_replica() {
 fn crash_of_non_coordinator_process_is_tolerated_silently() {
     // An unpaired replica crashing must not trigger any fail-over —
     // quorums are sized for it.
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 3))
         .seed(47)
@@ -109,7 +104,7 @@ fn crash_of_non_coordinator_process_is_tolerated_silently() {
 
 #[test]
 fn batches_respect_the_1kb_cap() {
-    let mut d = ScWorldBuilder::new(1, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(1)
         .batching_interval(SimDuration::from_ms(100))
         .client(client(400.0, 2)) // far more than a batch per interval
         .seed(53)
@@ -129,14 +124,20 @@ fn batches_respect_the_1kb_cap() {
 #[test]
 fn f3_deployment_orders_and_fails_over() {
     // n = 10 (7 replicas + 3 shadows): double fail-over at f = 3.
-    let mut d = ScWorldBuilder::new(3, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(3)
         .batching_interval(SimDuration::from_ms(60))
         .client(client(100.0, 4))
-        .fault(ProcessId(0), Fault::CorruptOrderAt(SeqNo(3)))
-        .fault(ProcessId(1), Fault::CorruptOrderAt(SeqNo(9)))
+        .fault(
+            ProcessId(0),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(3))),
+        )
+        .fault(
+            ProcessId(1),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(9))),
+        )
         .seed(59)
         .build();
-    assert_eq!(d.topology.n(), 10);
+    assert_eq!(d.n_processes, 10);
     d.start();
     d.run_until(SimTime::from_secs(10));
     let events = d.world.drain_events();
@@ -155,10 +156,14 @@ fn scr_unwilling_candidate_skipped() {
     // SCR: crash pair-2's shadow early so pair 2 goes (and stays) Down;
     // then fail pair 1. The view change reaches pair 2, which must send
     // Unwilling, and pair 3 must end up coordinating.
-    let mut d = ScWorldBuilder::new(2, Variant::Scr, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
+        .variant(Variant::Scr)
         .batching_interval(SimDuration::from_ms(60))
         .client(client(100.0, 5))
-        .fault(ProcessId(0), Fault::CorruptOrderAt(SeqNo(6)))
+        .fault(
+            ProcessId(0),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(6))),
+        )
         .seed(61)
         .build();
     d.start();
@@ -184,7 +189,7 @@ fn scr_unwilling_candidate_skipped() {
 
 #[test]
 fn two_simultaneous_request_streams_interleave_safely() {
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(120.0, 2))
         .client(client(80.0, 2))

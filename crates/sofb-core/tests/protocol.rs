@@ -2,26 +2,21 @@
 //! value-domain fail-over, time-domain fail-over, candidate exhaustion to
 //! the unpaired coordinator, and the SCR extension.
 
-use sofb_core::analysis;
 use sofb_core::config::Fault;
 use sofb_core::events::ScEvent;
-use sofb_core::sim::{ClientSpec, ScWorldBuilder};
-use sofb_crypto::scheme::SchemeId;
+use sofb_core::sim::ScProtocol;
+use sofb_harness::{analysis, ClientSpec, FaultSpec, WorldBuilder};
 use sofb_proto::ids::{ProcessId, Rank, SeqNo};
 use sofb_proto::topology::{Topology, Variant};
 use sofb_sim::time::{SimDuration, SimTime};
 
 fn client(rate: f64, stop_s: u64) -> ClientSpec {
-    ClientSpec {
-        rate_per_sec: rate,
-        request_size: 100,
-        stop_at: SimTime::from_secs(stop_s),
-    }
+    ClientSpec::new(rate, 100, SimTime::from_secs(stop_s))
 }
 
 #[test]
 fn failfree_ordering_commits_everywhere() {
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 2))
         .seed(7)
@@ -36,7 +31,7 @@ fn failfree_ordering_commits_everywhere() {
         .iter()
         .any(|e| matches!(e.event, ScEvent::FailSignalIssued { .. })));
     // Every process commits a healthy prefix.
-    let n = d.topology.n();
+    let n = d.n_processes;
     let nodes: Vec<usize> = (0..n).collect();
     let prefix = analysis::common_committed_prefix(&events, &nodes).expect("all nodes commit");
     assert!(prefix >= SeqNo(10), "common prefix too short: {prefix:?}");
@@ -50,7 +45,7 @@ fn failfree_ordering_commits_everywhere() {
 
 #[test]
 fn failfree_no_duplicate_request_ordering() {
-    let mut d = ScWorldBuilder::new(1, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(1)
         .batching_interval(SimDuration::from_ms(40))
         .client(client(200.0, 1))
         .seed(11)
@@ -79,10 +74,13 @@ fn failfree_no_duplicate_request_ordering() {
 fn value_domain_fault_triggers_failover_and_preserves_safety() {
     // The rank-1 coordinator replica corrupts the digest of its 5th order;
     // its shadow must detect, fail-signal, and rank 2 must take over.
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 3))
-        .fault(ProcessId(0), Fault::CorruptOrderAt(SeqNo(5)))
+        .fault(
+            ProcessId(0),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(5))),
+        )
         .seed(13)
         .build();
     d.start();
@@ -110,7 +108,7 @@ fn value_domain_fault_triggers_failover_and_preserves_safety() {
         .map(|e| e.node)
         .collect();
     assert!(
-        installed.len() >= d.topology.commit_quorum() - 1,
+        installed.len() >= Topology::new(d.knobs.f, d.knobs.variant).commit_quorum() - 1,
         "most processes install rank 2: {installed:?}"
     );
     // Ordering continues under the new coordinator.
@@ -127,11 +125,14 @@ fn value_domain_fault_triggers_failover_and_preserves_safety() {
 fn time_domain_fault_muted_coordinator_detected() {
     // The rank-1 coordinator goes silent after 3 orders; the shadow's
     // delay estimate expires and it fail-signals (time-domain).
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .order_timeout(SimDuration::from_ms(400))
         .client(client(100.0, 3))
-        .fault(ProcessId(0), Fault::MuteCoordinatorAt(SeqNo(4)))
+        .fault(
+            ProcessId(0),
+            FaultSpec::Byzantine(Fault::MuteCoordinatorAt(SeqNo(4))),
+        )
         .seed(17)
         .build();
     d.start();
@@ -157,11 +158,17 @@ fn time_domain_fault_muted_coordinator_detected() {
 fn double_failover_reaches_unpaired_candidate() {
     // Both pairs fail in turn; the unpaired candidate (rank f+1 = 3,
     // process 2) must take over and order solo.
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 4))
-        .fault(ProcessId(0), Fault::CorruptOrderAt(SeqNo(3)))
-        .fault(ProcessId(1), Fault::CorruptOrderAt(SeqNo(8)))
+        .fault(
+            ProcessId(0),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(3))),
+        )
+        .fault(
+            ProcessId(1),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(8))),
+        )
         .seed(19)
         .build();
     d.start();
@@ -184,10 +191,10 @@ fn double_failover_reaches_unpaired_candidate() {
 fn rubber_stamp_shadow_cannot_break_safety() {
     // A Byzantine shadow that endorses without checking cannot cause
     // divergent commits: the replica is correct, so contents stay valid.
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 2))
-        .fault(ProcessId(5), Fault::RubberStamp)
+        .fault(ProcessId(5), FaultSpec::Byzantine(Fault::RubberStamp))
         .seed(23)
         .build();
     d.start();
@@ -201,10 +208,10 @@ fn rubber_stamp_shadow_cannot_break_safety() {
 #[test]
 fn dropped_acks_do_not_break_safety_or_liveness_within_f() {
     // One process drops all its acks (f=2 tolerates it).
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 2))
-        .fault(ProcessId(3), Fault::DropAcks)
+        .fault(ProcessId(3), FaultSpec::Byzantine(Fault::DropAcks))
         .seed(29)
         .build();
     d.start();
@@ -218,7 +225,8 @@ fn dropped_acks_do_not_break_safety_or_liveness_within_f() {
 
 #[test]
 fn scr_failfree_behaves_like_sc() {
-    let mut d = ScWorldBuilder::new(2, Variant::Scr, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
+        .variant(Variant::Scr)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 2))
         .seed(31)
@@ -239,10 +247,14 @@ fn scr_failfree_behaves_like_sc() {
 fn scr_value_fault_view_change() {
     // SCR: coordinator pair 1 suffers a value-domain fault; view change
     // installs pair 2 and ordering continues.
-    let mut d = ScWorldBuilder::new(2, Variant::Scr, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
+        .variant(Variant::Scr)
         .batching_interval(SimDuration::from_ms(50))
         .client(client(100.0, 4))
-        .fault(ProcessId(0), Fault::CorruptOrderAt(SeqNo(4)))
+        .fault(
+            ProcessId(0),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(4))),
+        )
         .seed(37)
         .build();
     d.start();
@@ -264,7 +276,7 @@ fn scr_value_fault_view_change() {
 #[test]
 fn deterministic_runs_with_same_seed() {
     let run = |seed: u64| {
-        let mut d = ScWorldBuilder::new(1, Variant::Sc, SchemeId::Md5Rsa1024)
+        let mut d = WorldBuilder::<ScProtocol>::new(1)
             .batching_interval(SimDuration::from_ms(50))
             .client(client(100.0, 1))
             .seed(seed)

@@ -14,16 +14,16 @@
 //! # Examples
 //!
 //! ```
-//! use sofb_ct::sim::CtWorldBuilder;
-//! use sofb_core::analysis;
+//! use sofb_ct::sim::CtProtocol;
+//! use sofb_harness::{analysis, ClientSpec, WorldBuilder};
 //! use sofb_sim::time::SimTime;
 //!
-//! let (mut world, _n) = CtWorldBuilder::new(2)
-//!     .client(50.0, 100, SimTime::from_secs(1))
+//! let mut d = WorldBuilder::<CtProtocol>::new(2)
+//!     .client(ClientSpec::new(50.0, 100, SimTime::from_secs(1)))
 //!     .build();
-//! world.start();
-//! world.run_until(SimTime::from_secs(2));
-//! let events = world.drain_events();
+//! d.start();
+//! d.run_until(SimTime::from_secs(2));
+//! let events = d.world.drain_events();
 //! analysis::check_total_order(&events).expect("no divergent commits");
 //! ```
 

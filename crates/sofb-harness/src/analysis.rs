@@ -3,8 +3,7 @@
 //!
 //! The functions here consume the uniform [`ProtocolEvent`] observation
 //! log, so one measurement pass covers every hosted variant (SC, SCR,
-//! BFT, CT). `sofb_core::analysis` re-exports this module under its
-//! historical path.
+//! BFT, CT).
 
 use std::collections::{BTreeMap, HashMap};
 

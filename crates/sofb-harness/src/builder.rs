@@ -22,16 +22,10 @@ use sofb_sim::engine::Actor;
 ///
 /// # Examples
 ///
-/// Protocol crates provide the `P` implementations; assembling any of
-/// them is the same four lines:
-///
-/// ```ignore
-/// let mut d = WorldBuilder::<ScProtocol>::new(2)
-///     .client(ClientSpec::new(100.0, 100, SimTime::from_secs(2)))
-///     .build();
-/// d.start();
-/// d.run_until(SimTime::from_secs(4));
-/// ```
+/// Protocol crates provide the `P` implementations, so no example can
+/// compile here; the crate-level examples of `sofb-core`, `sofb-bft` and
+/// `sofb-ct` assemble, run and check a deployment of each through this
+/// builder.
 #[derive(Debug)]
 pub struct WorldBuilder<P: Protocol> {
     knobs: Knobs,

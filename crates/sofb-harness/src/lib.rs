@@ -45,11 +45,10 @@
 //!   [`scenario::SweepGrid`] expands axes over any scenario field into a
 //!   deterministic, parallel-executed experiment matrix.
 //!
-//! Protocol crates implement [`protocol::Protocol`] and keep their
-//! historical `ScWorldBuilder` / `BftWorldBuilder` / `CtWorldBuilder`
-//! types as thin facades over [`builder::WorldBuilder`], so existing
-//! experiment code keeps compiling while all new scenario work lands once
-//! and applies to all four variants.
+//! A protocol crate plugs in by implementing [`protocol::Protocol`]:
+//! every deployment of every variant is a [`builder::WorldBuilder`] over
+//! one of those impls, so scenario work lands once and applies to all
+//! four variants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

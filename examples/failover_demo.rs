@@ -6,21 +6,22 @@
 //! cargo run --release --example failover_demo
 //! ```
 
-use sofbyz::core::analysis;
 use sofbyz::core::config::Fault;
 use sofbyz::core::events::ScEvent;
-use sofbyz::core::sim::{ClientSpec, ScWorldBuilder};
-use sofbyz::crypto::scheme::SchemeId;
+use sofbyz::core::sim::ScProtocol;
+use sofbyz::harness::{analysis, ClientSpec, FaultSpec, WorldBuilder};
 use sofbyz::proto::ids::{ProcessId, SeqNo};
-use sofbyz::proto::topology::Variant;
 use sofbyz::sim::time::{SimDuration, SimTime};
 
 fn main() {
-    let mut deployment = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut deployment = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(100))
         // Process 0 (the rank-1 coordinator replica) will corrupt the
         // digest of its 5th order — a value-domain Byzantine fault.
-        .fault(ProcessId(0), Fault::CorruptOrderAt(SeqNo(5)))
+        .fault(
+            ProcessId(0),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(5))),
+        )
         // Offered load below batch capacity so the post-fail-over backlog
         // drains; the shadow's delay estimate then stays comfortably met.
         .order_timeout(sofbyz::sim::time::SimDuration::from_ms(2_000))

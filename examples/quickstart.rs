@@ -5,16 +5,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sofbyz::core::analysis;
-use sofbyz::core::sim::{ClientSpec, ScWorldBuilder};
-use sofbyz::crypto::scheme::SchemeId;
-use sofbyz::proto::topology::Variant;
+use sofbyz::core::sim::ScProtocol;
+use sofbyz::harness::{analysis, ClientSpec, WorldBuilder};
 use sofbyz::sim::time::{SimDuration, SimTime};
 
 fn main() {
     // f = 2: five service replicas, two of them paired with shadows
     // (n = 3f+1 = 7 order processes), MD5 digests + RSA-1024 signatures.
-    let mut deployment = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    let mut deployment = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(100))
         .client(ClientSpec {
             rate_per_sec: 100.0,
@@ -37,7 +35,7 @@ fn main() {
         analysis::throughput_per_process(&events, SimTime::from_secs(1), SimTime::from_secs(8));
 
     println!("Streets of Byzantium — SC protocol quickstart");
-    println!("  processes            : {}", deployment.topology.n());
+    println!("  processes            : {}", deployment.n_processes);
     println!("  batches committed    : {}", latencies.len());
     println!("  mean order latency   : {mean:.2} ms");
     println!("  throughput/process   : {throughput:.1} requests/s");

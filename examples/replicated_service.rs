@@ -100,4 +100,5 @@ fn main() {
             .collect::<String>(),
         5,
     );
+    assert_eq!(bank.executed_ops(), 35, "every op executed exactly once");
 }

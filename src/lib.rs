@@ -34,9 +34,8 @@
 //! Each protocol crate implements [`harness::Protocol`] (SC/SCR:
 //! `core::sim::ScProtocol`; BFT: `bft::sim::BftProtocol`; CT:
 //! `ct::sim::CtProtocol`), so any variant is constructible through the
-//! same generic builder and measured by the same analysis pass; the
-//! historical `ScWorldBuilder`/`BftWorldBuilder`/`CtWorldBuilder` types
-//! remain as thin facades. On top of it all sits the declarative
+//! same generic builder and measured by the same analysis pass
+//! ([`harness::analysis`]). On top of it all sits the declarative
 //! [`scenario`] layer: one [`scenario::Scenario`] spec and one runner for
 //! every experiment, flat or sharded, and the [`scenario::SweepGrid`]
 //! engine that turns experiment matrices into data. See `DESIGN.md` for

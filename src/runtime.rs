@@ -77,8 +77,9 @@ static PROFILING: AtomicBool = AtomicBool::new(false);
 /// callbacks (`live.node_drive_ns`), wire-command handling
 /// (`live.handle_line_ns`, one sample per burst of request lines),
 /// commit application (`live.commit_apply_ns`),
-/// connection accepts (`live.accepts`) and replies that could not be
-/// written (`live.reply_write_errors`) start sampling into the shared
+/// connection accepts (`live.accepts`), replies that could not be
+/// written (`live.reply_write_errors`) and messages lost to a full node
+/// channel (`live.dropped_sends`) start sampling into the shared
 /// registry.
 pub fn enable_profiling() {
     PROFILING.store(true, Ordering::Relaxed);
@@ -205,7 +206,9 @@ where
                         }
                         for (to, msg) in outputs.sends {
                             if let Some(tx) = peers.get(to) {
-                                let _ = tx.try_send(Input::Net { from: idx, msg });
+                                if tx.try_send(Input::Net { from: idx, msg }).is_err() {
+                                    prof_count("live.dropped_sends", 1);
+                                }
                             }
                         }
                         for req in outputs.timers {
@@ -261,10 +264,14 @@ where
         }
     }
 
-    /// Injects a message to `to` as if from node `from`.
+    /// Injects a message to `to` as if from node `from`. A node whose
+    /// channel is full (or gone) loses it; the profiler counts each such
+    /// loss, here and between nodes, as `live.dropped_sends`.
     pub fn inject(&self, to: usize, from: usize, msg: M) {
         if let Some(tx) = self.senders.get(to) {
-            let _ = tx.try_send(Input::Net { from, msg });
+            if tx.try_send(Input::Net { from, msg }).is_err() {
+                prof_count("live.dropped_sends", 1);
+            }
         }
     }
 
@@ -1100,7 +1107,6 @@ pub fn decode_reply(reply: &str) -> Result<Vec<u8>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofb_core::analysis as sc_analysis;
     use sofb_core::config::ScConfig;
     use sofb_core::messages::{FailSignalPayload, ScMsg};
     use sofb_core::process::ScProcess;
@@ -1155,12 +1161,52 @@ mod tests {
         thread::sleep(Duration::from_millis(800));
         let events = host.shutdown();
 
-        sc_analysis::check_total_order(&events).expect("total order on threads");
-        let commits = sc_analysis::order_latencies(&events);
+        analysis::check_total_order(&events).expect("total order on threads");
+        let commits = analysis::order_latencies(&events);
         assert!(
             !commits.is_empty(),
             "threaded deployment must commit batches (got none)"
         );
+    }
+
+    #[test]
+    fn threaded_host_counts_sends_dropped_on_a_full_channel() {
+        #[derive(Clone, Debug)]
+        struct Tick;
+        impl WireSize for Tick {
+            fn wire_len(&self) -> usize {
+                1
+            }
+        }
+        /// Blocks in `on_start` until released, so nothing drains its
+        /// channel meanwhile.
+        struct Stalled(std::sync::mpsc::Receiver<()>);
+        impl Actor for Stalled {
+            type Msg = Tick;
+            type Event = ();
+            fn on_start(&mut self, _: &mut Ctx<'_, Tick, ()>) {
+                let _ = self.0.recv();
+            }
+            fn on_message(&mut self, _: usize, _: Tick, _: &mut Ctx<'_, Tick, ()>) {}
+            fn on_timer(&mut self, _: u64, _: &mut Ctx<'_, Tick, ()>) {}
+        }
+
+        enable_profiling();
+        let dropped = || {
+            profile_snapshot()
+                .and_then(|s| s.counter("live.dropped_sends"))
+                .unwrap_or(0)
+        };
+        let before = dropped();
+        let (release, gate) = std::sync::mpsc::channel();
+        let host = ThreadedHost::spawn(vec![Box::new(Stalled(gate)) as SendActor<Tick, ()>], 1.0);
+        for _ in 0..65_536 + 100 {
+            host.inject(0, 1, Tick);
+        }
+        release.send(()).expect("node thread waits on the gate");
+        host.shutdown();
+        let lost = dropped() - before;
+        assert!(lost >= 100, "counted {lost} dropped sends");
     }
 
     #[test]

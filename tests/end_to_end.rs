@@ -1,29 +1,31 @@
 //! Cross-crate integration tests: the full stack (crypto → sim → proto →
 //! protocols → app) through the public umbrella API.
 
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
 use sofbyz::app::kv::{KvOp, KvStore};
 use sofbyz::app::state_machine::{Executor, StateMachine};
-use sofbyz::core::analysis;
 use sofbyz::core::config::Fault;
 use sofbyz::core::events::ScEvent;
-use sofbyz::core::sim::{ClientSpec, ScWorldBuilder};
+use sofbyz::core::messages::ScMsg;
+use sofbyz::core::sim::ScProtocol;
 use sofbyz::crypto::provider::{CryptoProvider, Dealer};
 use sofbyz::crypto::scheme::SchemeId;
+use sofbyz::harness::{analysis, ClientSpec, FaultSpec, WorldBuilder};
 use sofbyz::proto::codec::Encode;
 use sofbyz::proto::ids::{ClientId, ProcessId, SeqNo};
+use sofbyz::proto::request::{Request, RequestId};
 use sofbyz::proto::topology::Variant;
 use sofbyz::sim::time::{SimDuration, SimTime};
 
 #[test]
 fn all_three_schemes_order_correctly() {
     for scheme in SchemeId::PAPER {
-        let mut d = ScWorldBuilder::new(2, Variant::Sc, scheme)
+        let mut d = WorldBuilder::<ScProtocol>::new(2)
+            .scheme(scheme)
             .batching_interval(SimDuration::from_ms(100))
-            .client(ClientSpec {
-                rate_per_sec: 50.0,
-                request_size: 100,
-                stop_at: SimTime::from_secs(2),
-            })
+            .client(ClientSpec::new(50.0, 100, SimTime::from_secs(2)))
             .seed(77)
             .build();
         d.start();
@@ -61,28 +63,31 @@ fn sc_with_real_rsa_signatures_outside_simulator() {
 
 #[test]
 fn ordered_kv_replicas_converge_under_failover() {
-    // Order a KV workload while the coordinator misbehaves mid-run; all
-    // replicas must still converge to identical state.
-    let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+    // Order a KV workload while the coordinator misbehaves mid-run; every
+    // correct process executes its own committed log, and all of them
+    // must converge to identical state.
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
         .batching_interval(SimDuration::from_ms(60))
-        .fault(ProcessId(0), Fault::CorruptOrderAt(SeqNo(6)))
+        .fault(
+            ProcessId(0),
+            FaultSpec::Byzantine(Fault::CorruptOrderAt(SeqNo(6))),
+        )
         .seed(9)
         .build();
     d.start();
-    let n = d.topology.n();
-    // Inject structured KV requests.
-    let ops: Vec<KvOp> = (0..60)
-        .map(|i| KvOp::Put {
+    let n = d.n_processes;
+    // Inject structured KV requests, keeping each one's payload.
+    let mut payloads: HashMap<RequestId, Vec<u8>> = HashMap::new();
+    for i in 0..60u64 {
+        let op = KvOp::Put {
             key: format!("k{}", i % 7).into_bytes(),
             value: format!("v{i}").into_bytes(),
-        })
-        .collect();
-    for (i, op) in ops.iter().enumerate() {
-        d.run_until(SimTime::from_ms(20 * i as u64));
-        let req = sofbyz::proto::request::Request::new(ClientId(0), i as u64 + 1, op.to_bytes());
+        };
+        d.run_until(SimTime::from_ms(20 * i));
+        let req = Request::new(ClientId(0), i + 1, op.to_bytes());
+        payloads.insert(req.id, op.to_bytes());
         for p in 0..n {
-            d.world
-                .inject(p, 999, sofbyz::core::messages::ScMsg::Request(req.clone()));
+            d.world.inject(p, 999, ScMsg::Request(req.clone()));
         }
     }
     d.run_until(SimTime::from_secs(12));
@@ -95,31 +100,36 @@ fn ordered_kv_replicas_converge_under_failover() {
         "fail-over must have occurred"
     );
 
-    // Rebuild the committed schedule (identical across nodes by the
-    // safety check) and apply to two executors.
-    use std::collections::BTreeMap;
-    let mut batch_sizes: BTreeMap<SeqNo, usize> = BTreeMap::new();
+    // Each process's own schedule: sequence number → the members it
+    // committed there.
+    let mut logs: Vec<BTreeMap<SeqNo, Arc<[RequestId]>>> = vec![BTreeMap::new(); n];
     for ev in &events {
-        if let ScEvent::Committed { o, requests, .. } = &ev.event {
-            batch_sizes.entry(*o).or_insert(*requests);
+        if let ScEvent::Committed { o, request_ids, .. } = &ev.event {
+            logs[ev.node].insert(*o, request_ids.clone());
         }
     }
-    let mut remaining = ops.iter();
-    let mut a = Executor::new(KvStore::new());
-    let mut b = Executor::new(KvStore::new());
-    for (o, count) in &batch_sizes {
-        let batch: Vec<Vec<u8>> = (0..*count)
-            .filter_map(|_| remaining.next().map(|op| op.to_bytes()))
-            .collect();
-        a.apply_batch(*o, batch.clone()).unwrap();
-        b.apply_batch(*o, batch).unwrap();
-    }
-    assert_eq!(
-        a.machine().state_digest(),
-        b.machine().state_digest(),
+    // Every process but the faulty coordinator executes its log up to
+    // the prefix all of them committed.
+    let correct: Vec<usize> = (1..n).collect();
+    let prefix = analysis::common_committed_prefix(&events, &correct).expect("all commit");
+    let in_prefix: usize = logs[1].range(..=prefix).map(|(_, ids)| ids.len()).sum();
+    assert_eq!(in_prefix, payloads.len(), "prefix {prefix:?} misses ops");
+    let digests: Vec<Vec<u8>> = correct
+        .iter()
+        .map(|&p| {
+            let mut ex = Executor::new(KvStore::new());
+            for (o, ids) in logs[p].range(..=prefix) {
+                ex.apply_batch(*o, ids.iter().map(|id| &payloads[id]))
+                    .unwrap_or_else(|e| panic!("process {p}: {e}"));
+            }
+            assert_eq!(ex.applied_ops(), in_prefix as u64, "process {p}");
+            ex.machine().state_digest()
+        })
+        .collect();
+    assert!(
+        digests.iter().all(|d| *d == digests[0]),
         "replicas diverged"
     );
-    assert!(a.applied_ops() > 0);
 }
 
 #[test]
@@ -138,14 +148,11 @@ fn scr_recovers_from_transient_partition_of_pair_link() {
         },
         per_byte_ns: 8,
     };
-    let mut d = ScWorldBuilder::new(2, Variant::Scr, SchemeId::Md5Rsa1024)
+    let mut d = WorldBuilder::<ScProtocol>::new(2)
+        .variant(Variant::Scr)
         .batching_interval(SimDuration::from_ms(100))
         .pair_link(slow_then_fast)
-        .client(ClientSpec {
-            rate_per_sec: 50.0,
-            request_size: 100,
-            stop_at: SimTime::from_secs(6),
-        })
+        .client(ClientSpec::new(50.0, 100, SimTime::from_secs(6)))
         .seed(21)
         .build();
     d.start();
@@ -178,13 +185,10 @@ fn provider_costs_flow_into_virtual_time() {
     // higher order latency than RSA-1024, because the provider charges
     // more virtual signing time.
     let run = |scheme| {
-        let mut d = ScWorldBuilder::new(1, Variant::Sc, scheme)
+        let mut d = WorldBuilder::<ScProtocol>::new(1)
+            .scheme(scheme)
             .batching_interval(SimDuration::from_ms(200))
-            .client(ClientSpec {
-                rate_per_sec: 50.0,
-                request_size: 100,
-                stop_at: SimTime::from_secs(3),
-            })
+            .client(ClientSpec::new(50.0, 100, SimTime::from_secs(3)))
             .seed(33)
             .build();
         d.start();
@@ -334,7 +338,6 @@ fn live_trace_cross_validates_against_all_four_simulated_variants() {
 /// still replays to completion inside the drain horizon on every variant.
 #[test]
 fn a_flood_trace_cross_validates_on_all_four_variants() {
-    use sofbyz::proto::request::RequestId;
     use sofbyz::runtime::TraceOp;
     const OPS: u64 = 4_000;
     let ops: Vec<TraceOp> = (1..=OPS)
@@ -626,8 +629,6 @@ fn serve_survives_a_client_that_closes_without_reading() {
 
 #[test]
 fn wait_reply_honours_its_deadline_while_blocked() {
-    use sofbyz::proto::ids::ClientId;
-    use sofbyz::proto::request::RequestId;
     let mut svc = spawn_live_kv(ProtocolKind::Sc, &live_knobs(), 1.0);
     let never_submitted = RequestId {
         client: ClientId(0),

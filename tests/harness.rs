@@ -5,10 +5,9 @@
 //! uniform `FaultSpec` plan.
 
 use sofbyz::bft::sim::BftProtocol;
-use sofbyz::core::analysis;
 use sofbyz::core::sim::ScProtocol;
 use sofbyz::ct::sim::CtProtocol;
-use sofbyz::harness::{ClientSpec, FaultSpec, Protocol, ProtocolEvent, WorldBuilder};
+use sofbyz::harness::{analysis, ClientSpec, FaultSpec, Protocol, ProtocolEvent, WorldBuilder};
 use sofbyz::proto::ids::ProcessId;
 use sofbyz::proto::topology::Variant;
 use sofbyz::sim::engine::TimedEvent;

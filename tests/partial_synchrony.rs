@@ -14,9 +14,8 @@
 //! the same virtual instant in every run).
 
 use sofbyz::bft::sim::BftProtocol;
-use sofbyz::core::analysis;
 use sofbyz::ct::sim::CtProtocol;
-use sofbyz::harness::{ClientSpec, FaultSpec, Protocol, ProtocolEvent, WorldBuilder};
+use sofbyz::harness::{analysis, ClientSpec, FaultSpec, Protocol, ProtocolEvent, WorldBuilder};
 use sofbyz::proto::ids::ProcessId;
 use sofbyz::sim::engine::TimedEvent;
 use sofbyz::sim::time::{SimDuration, SimTime};

@@ -9,12 +9,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sofbyz::core::analysis;
 use sofbyz::core::config::Fault;
-use sofbyz::core::sim::{ClientSpec, ScWorldBuilder};
+use sofbyz::core::sim::ScProtocol;
 use sofbyz::crypto::bignum::BigUint;
 use sofbyz::crypto::provider::{CryptoProvider, Dealer};
 use sofbyz::crypto::scheme::SchemeId;
+use sofbyz::harness::{analysis, ClientSpec, FaultSpec, WorldBuilder};
 use sofbyz::proto::codec::{Decode, Encode};
 use sofbyz::proto::ids::{ClientId, ProcessId, SeqNo};
 use sofbyz::proto::request::Request;
@@ -176,14 +176,10 @@ fn sc_total_order_safe_under_any_single_fault_and_schedule() {
         let seed: u64 = rng.gen();
         let (who, fault) = random_fault(&mut rng);
         let interval_ms = rng.gen_range(40u64..200);
-        let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+        let mut d = WorldBuilder::<ScProtocol>::new(2)
             .batching_interval(SimDuration::from_ms(interval_ms))
-            .client(ClientSpec {
-                rate_per_sec: 150.0,
-                request_size: 100,
-                stop_at: SimTime::from_secs(2),
-            })
-            .fault(who, fault.clone())
+            .client(ClientSpec::new(150.0, 100, SimTime::from_secs(2)))
+            .fault(who, FaultSpec::Byzantine(fault.clone()))
             .seed(seed)
             .build();
         d.start();
@@ -201,14 +197,11 @@ fn scr_total_order_safe_under_any_single_fault_and_schedule() {
     for _ in 0..12 {
         let seed: u64 = rng.gen();
         let (who, fault) = random_fault(&mut rng);
-        let mut d = ScWorldBuilder::new(2, Variant::Scr, SchemeId::Md5Rsa1024)
+        let mut d = WorldBuilder::<ScProtocol>::new(2)
+            .variant(Variant::Scr)
             .batching_interval(SimDuration::from_ms(80))
-            .client(ClientSpec {
-                rate_per_sec: 100.0,
-                request_size: 100,
-                stop_at: SimTime::from_secs(2),
-            })
-            .fault(who, fault.clone())
+            .client(ClientSpec::new(100.0, 100, SimTime::from_secs(2)))
+            .fault(who, FaultSpec::Byzantine(fault.clone()))
             .seed(seed)
             .build();
         d.start();
@@ -224,20 +217,16 @@ fn sc_liveness_without_faults() {
     let mut rng = StdRng::seed_from_u64(0x11fe);
     for _ in 0..12 {
         let seed: u64 = rng.gen();
-        let mut d = ScWorldBuilder::new(2, Variant::Sc, SchemeId::Md5Rsa1024)
+        let mut d = WorldBuilder::<ScProtocol>::new(2)
             .batching_interval(SimDuration::from_ms(100))
-            .client(ClientSpec {
-                rate_per_sec: 80.0,
-                request_size: 100,
-                stop_at: SimTime::from_secs(2),
-            })
+            .client(ClientSpec::new(80.0, 100, SimTime::from_secs(2)))
             .seed(seed)
             .build();
         d.start();
         d.run_until(SimTime::from_secs(6));
         let events = d.world.drain_events();
         analysis::check_total_order(&events).unwrap();
-        let n = d.topology.n();
+        let n = d.n_processes;
         let nodes: Vec<usize> = (0..n).collect();
         let prefix = analysis::common_committed_prefix(&events, &nodes);
         assert!(

@@ -13,8 +13,7 @@
 //!
 //! plus determinism and the per-shard engine accounting.
 
-use sofbyz::core::analysis;
-use sofbyz::harness::{ProtocolEvent, ProtocolKind};
+use sofbyz::harness::{analysis, ProtocolEvent, ProtocolKind};
 use sofbyz::scenario::{run_traced, ClientLoad, Report, RouterPolicy, Scenario, Window};
 use sofbyz::sim::engine::TimedEvent;
 
