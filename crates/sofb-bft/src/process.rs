@@ -14,10 +14,9 @@ use std::collections::{BTreeMap, HashSet};
 
 use sofb_crypto::provider::CryptoProvider;
 use sofb_crypto::scheme::SchemeId;
-use sofb_proto::backlog::RequestBacklog;
-use sofb_proto::fasthash::IdHashMap;
+use sofb_proto::backlog::RequestPool;
 use sofb_proto::ids::{ProcessId, Rank, SeqNo, ViewId};
-use sofb_proto::request::{BatchRef, Digest, Request, RequestId};
+use sofb_proto::request::{BatchRef, Digest, Request};
 use sofb_proto::signed::Signed;
 use sofb_sim::engine::{Actor, Ctx};
 use sofb_sim::time::{SimDuration, SimTime};
@@ -94,8 +93,7 @@ pub struct BftProcess {
     provider: Box<dyn CryptoProvider>,
     v: ViewId,
     next_propose: SeqNo,
-    requests: IdHashMap<RequestId, Request>,
-    backlog: RequestBacklog<SimTime>,
+    pool: RequestPool<SimTime>,
     slots: BTreeMap<SeqNo, SlotState>,
     last_committed: SeqNo,
     view_changes: BTreeMap<ViewId, BTreeMap<ProcessId, Signed<ViewChangePayload>>>,
@@ -111,8 +109,7 @@ impl BftProcess {
             provider,
             v: ViewId(1),
             next_propose: SeqNo(1),
-            requests: IdHashMap::default(),
-            backlog: RequestBacklog::new(),
+            pool: RequestPool::default(),
             slots: BTreeMap::new(),
             last_committed: SeqNo(0),
             view_changes: BTreeMap::new(),
@@ -147,52 +144,26 @@ impl BftProcess {
     }
 
     fn on_request(&mut self, req: Request, ctx: &mut Ctx<'_, BftMsg, ScEvent>) {
-        if self.requests.contains_key(&req.id) {
-            return;
-        }
-        let id = req.id;
-        self.requests.insert(id, req);
-        self.backlog.note(id, ctx.now());
-        // A pre-prepare stashed for missing requests may now be checkable.
-        self.recheck_slots(ctx);
+        self.pool.admit(req, ctx.now());
     }
 
     fn propose_batch(&mut self, ctx: &mut Ctx<'_, BftMsg, ScEvent>) {
         if !self.i_am_primary() || !self.new_view_done || self.cfg.mute_primary {
             return;
         }
-        let mut members: Vec<RequestId> = Vec::new();
-        let mut bytes = 0usize;
-        while let Some((id, _)) = self.backlog.front() {
-            let Some(req) = self.requests.get(&id) else {
-                self.backlog.pop_front();
-                continue;
-            };
-            if self.backlog.is_ordered(&id) {
-                self.backlog.pop_front();
-                continue;
-            }
-            let len = req.payload.len();
-            if !members.is_empty() && bytes + len > self.cfg.batch_max_bytes {
-                break;
-            }
-            members.push(id);
-            bytes += len;
-            self.backlog.pop_front();
-            if bytes >= self.cfg.batch_max_bytes {
-                break;
-            }
-        }
+        let members = self.pool.take_batch(self.cfg.batch_max_bytes);
         if members.is_empty() {
             return;
         }
         // Latency origin: the batch tick's fire instant (see sofb-core).
         let formed_at_ns = ctx.fired_at().unwrap_or(ctx.now()).as_ns();
-        let refs: Vec<&Request> = members.iter().map(|id| &self.requests[id]).collect();
-        let digest = Digest::new(&self.provider.digest(&BatchRef::digest_input(&refs)));
+        let input = self
+            .pool
+            .digest_input(&members)
+            .expect("taken from the pool");
+        let digest = Digest::new(&self.provider.digest(&input));
         let o = self.next_propose;
         self.next_propose = o.next();
-        self.backlog.mark_ordered(members.iter().copied());
         let payload = PrePreparePayload {
             v: self.v,
             o,
@@ -227,13 +198,12 @@ impl BftProcess {
         if let Some(existing) = &slot.pre_prepare {
             if existing.payload.batch.digest != p.batch.digest {
                 // Equivocating primary: trigger a view change if enabled.
-                let _ = existing;
                 self.start_view_change(self.v.next(), ctx);
             }
             return;
         }
         slot.pre_prepare = Some(pp.clone());
-        self.backlog
+        self.pool
             .mark_ordered(pp.payload.batch.requests.iter().copied());
 
         // Backups multicast prepare; the primary's pre-prepare stands in
@@ -349,18 +319,6 @@ impl BftProcess {
                 };
                 ctx.emit(event);
             }
-        }
-    }
-
-    fn recheck_slots(&mut self, ctx: &mut Ctx<'_, BftMsg, ScEvent>) {
-        let pending: Vec<SeqNo> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| !s.committed)
-            .map(|(o, _)| *o)
-            .collect();
-        for o in pending {
-            self.advance_slot(o, ctx);
         }
     }
 
@@ -568,7 +526,7 @@ impl Actor for BftProcess {
                 if let Some(timeout) = self.cfg.request_timeout {
                     let now = ctx.now();
                     let overdue = self
-                        .backlog
+                        .pool
                         .oldest_waiting()
                         .is_some_and(|t| now.since(t) > timeout);
                     if overdue {
@@ -641,6 +599,26 @@ mod tests {
         Request::new(ClientId(0), seq, vec![0x55u8; 64])
     }
 
+    /// The pre-prepare the view-1 primary multicasts for request 1.
+    fn first_pre_prepare(replicas: &mut [BftProcess]) -> Signed<PrePreparePayload> {
+        drive(&mut replicas[0], |r, ctx| r.on_request(request(1), ctx));
+        let (sends, _) = drive(&mut replicas[0], |r, ctx| r.propose_batch(ctx));
+        sends
+            .into_iter()
+            .find_map(|(_, m)| match m {
+                BftMsg::PrePrepare(pp) => Some(pp),
+                _ => None,
+            })
+            .expect("pre-prepare sent")
+    }
+
+    fn prepares(sends: &[(usize, BftMsg)]) -> usize {
+        sends
+            .iter()
+            .filter(|(_, m)| matches!(m, BftMsg::Prepare(_)))
+            .count()
+    }
+
     #[test]
     fn primary_rotation() {
         let replicas = deployment(1); // n = 4
@@ -679,42 +657,36 @@ mod tests {
     #[test]
     fn backup_prepares_on_pre_prepare() {
         let mut replicas = deployment(1);
-        drive(&mut replicas[0], |r, ctx| r.on_request(request(1), ctx));
-        let (sends, _) = { drive(&mut replicas[0], |r, ctx| r.propose_batch(ctx)) };
-        let pp = sends
-            .iter()
-            .find_map(|(_, m)| match m {
-                BftMsg::PrePrepare(pp) => Some(pp.clone()),
-                _ => None,
-            })
-            .expect("pre-prepare sent");
+        let pp = first_pre_prepare(&mut replicas);
         // Backup 1 receives it and multicasts a prepare.
         drive(&mut replicas[1], |r, ctx| r.on_request(request(1), ctx));
         let (sends, _) = drive(&mut replicas[1], |r, ctx| r.on_pre_prepare(pp.clone(), ctx));
-        let prepares = sends
-            .iter()
-            .filter(|(_, m)| matches!(m, BftMsg::Prepare(_)))
-            .count();
-        assert_eq!(prepares, 4);
+        assert_eq!(prepares(&sends), 4);
         // The primary itself does not prepare.
         let (sends, _) = drive(&mut replicas[0], |r, ctx| {
             r.on_pre_prepare(pp, ctx);
         });
-        assert!(sends.iter().all(|(_, m)| !matches!(m, BftMsg::Prepare(_))));
+        assert_eq!(prepares(&sends), 0);
+    }
+
+    #[test]
+    fn backup_prepares_before_its_requests_arrive() {
+        let mut replicas = deployment(1);
+        let pp = first_pre_prepare(&mut replicas);
+        // Backup 1 has not seen request 1 yet: the pre-prepare carries
+        // only ids and a digest, so it prepares at once.
+        let (sends, _) = drive(&mut replicas[1], |r, ctx| r.on_pre_prepare(pp, ctx));
+        assert_eq!(prepares(&sends), 4);
+        // The request arriving afterwards moves no slot.
+        let (sends, events) = drive(&mut replicas[1], |r, ctx| r.on_request(request(1), ctx));
+        assert!(sends.is_empty());
+        assert!(events.is_empty());
     }
 
     #[test]
     fn wrong_view_pre_prepare_ignored() {
         let mut replicas = deployment(1);
-        drive(&mut replicas[0], |r, ctx| r.on_request(request(1), ctx));
-        let (sends, _) = drive(&mut replicas[0], |r, ctx| r.propose_batch(ctx));
-        let mut pp = sends
-            .iter()
-            .find_map(|(_, m)| match m {
-                BftMsg::PrePrepare(pp) => Some(pp.clone()),
-                _ => None,
-            })
-            .unwrap();
+        let mut pp = first_pre_prepare(&mut replicas);
         pp.payload.v = ViewId(2); // signature no longer matches either
         let (sends, _) = drive(&mut replicas[1], |r, ctx| r.on_pre_prepare(pp, ctx));
         assert!(sends.is_empty());

@@ -17,12 +17,11 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use sofb_crypto::provider::CryptoProvider;
-use sofb_proto::backlog::RequestBacklog;
+use sofb_proto::backlog::RequestPool;
 use sofb_proto::codec::Encode;
-use sofb_proto::fasthash::IdHashMap;
 use sofb_proto::ids::{ProcessId, Rank, SeqNo, ViewId};
 use sofb_proto::pool::PooledBuf;
-use sofb_proto::request::{BatchRef, Digest, Request, RequestId};
+use sofb_proto::request::{BatchRef, Digest, Request};
 use sofb_proto::signed::{DoublySigned, Signed};
 use sofb_proto::topology::{Candidate, Topology, Variant};
 use sofb_sim::engine::{Actor, Ctx};
@@ -75,8 +74,7 @@ pub struct ScProcess {
     dumb_below: Rank,
 
     // ---- request store ----
-    requests: IdHashMap<RequestId, Request>,
-    backlog: RequestBacklog<SimTime>,
+    pool: RequestPool<SimTime>,
 
     // ---- coordinator-replica state ----
     next_propose: SeqNo,
@@ -145,8 +143,7 @@ impl ScProcess {
             installed: true,
             halted: false,
             dumb_below: Rank::FIRST,
-            requests: IdHashMap::default(),
-            backlog: RequestBacklog::new(),
+            pool: RequestPool::default(),
             next_propose: SeqNo(1),
             next_endorse: SeqNo(1),
             stashed_proposal: None,
@@ -318,12 +315,9 @@ impl ScProcess {
     // ---------------------------------------------------------------
 
     fn on_request(&mut self, req: Request, ctx: &mut ScCtx<'_>) {
-        if self.requests.contains_key(&req.id) {
+        if !self.pool.admit(req, ctx.now()) {
             return;
         }
-        let id = req.id;
-        self.requests.insert(id, req);
-        self.backlog.note(id, ctx.now());
         // A stashed proposal may now be checkable.
         if let Some(p) = self.stashed_proposal.take() {
             self.endorse_proposal(p, ctx);
@@ -340,29 +334,7 @@ impl ScProcess {
                 return;
             }
         }
-        // Collect unordered requests up to the size cap.
-        let mut members: Vec<RequestId> = Vec::new();
-        let mut bytes = 0usize;
-        while let Some((id, _)) = self.backlog.front() {
-            let Some(req) = self.requests.get(&id) else {
-                self.backlog.pop_front();
-                continue;
-            };
-            if self.backlog.is_ordered(&id) {
-                self.backlog.pop_front();
-                continue;
-            }
-            let len = req.payload.len();
-            if !members.is_empty() && bytes + len > self.cfg.batch_max_bytes {
-                break;
-            }
-            members.push(id);
-            bytes += len;
-            self.backlog.pop_front();
-            if bytes >= self.cfg.batch_max_bytes {
-                break;
-            }
-        }
+        let members = self.pool.take_batch(self.cfg.batch_max_bytes);
         if members.is_empty() {
             return;
         }
@@ -372,8 +344,10 @@ impl ScProcess {
         // measured latency, so use the fire instant, not the service
         // start.
         let formed_at_ns = ctx.fired_at().unwrap_or(ctx.now()).as_ns();
-        let refs: Vec<&Request> = members.iter().map(|id| &self.requests[id]).collect();
-        let input = BatchRef::digest_input(&refs);
+        let input = self
+            .pool
+            .digest_input(&members)
+            .expect("taken from the pool");
         let mut raw = self.provider.digest(&input);
         if let Fault::CorruptOrderAt(at) = self.cfg.fault {
             if self.next_propose == at {
@@ -386,7 +360,6 @@ impl ScProcess {
         let digest = Digest::new(&raw);
         let o = self.next_propose;
         self.next_propose = o.next();
-        self.backlog.mark_ordered(members.iter().copied());
         let payload = OrderPayload {
             c: self.c,
             o,
@@ -440,25 +413,13 @@ impl ScProcess {
                 self.fail_signal(true, ctx);
                 return;
             }
-            let mut missing = false;
-            let mut refs: Vec<&Request> = Vec::with_capacity(p.batch.requests.len());
-            for id in p.batch.requests.iter() {
-                match self.requests.get(id) {
-                    Some(r) => refs.push(r),
-                    None => {
-                        missing = true;
-                        break;
-                    }
-                }
-            }
-            if missing {
+            let Some(input) = self.pool.digest_input(&p.batch.requests) else {
                 // Requests lag the proposal on the fast pair link; re-check
                 // when they arrive. (Not a failure: timeliness of requests
                 // is the asynchronous network's business.)
                 self.stashed_proposal = Some(proposal);
                 return;
-            }
-            let input = BatchRef::digest_input(&refs);
+            };
             let expected = Digest::new(&self.provider.digest(&input));
             if expected != p.batch.digest {
                 // Value-domain failure observed on the counterpart.
@@ -467,7 +428,7 @@ impl ScProcess {
             }
         }
         self.next_endorse = proposal.payload.o.next();
-        self.backlog
+        self.pool
             .mark_ordered(proposal.payload.batch.requests.iter().copied());
         // Phase 2 (2→n): endorse and multicast. The multicast includes
         // this shadow itself: its own ack (a 28 ms signing under RSA-1024)
@@ -509,7 +470,7 @@ impl ScProcess {
     /// now in sequence.
     fn accept_order(&mut self, order: OrderMsg, ctx: &mut ScCtx<'_>) {
         let o = order.payload().o;
-        self.backlog
+        self.pool
             .mark_ordered(order.payload().batch.requests.iter().copied());
         if !self.log.store_order(order) {
             return; // duplicate (both pair members multicast)
@@ -1135,7 +1096,7 @@ impl ScProcess {
             let p = order.payload().clone();
             self.log
                 .force_commit(order.clone(), crate::messages::CommitProof::default());
-            self.backlog.mark_ordered(p.batch.requests.iter().copied());
+            self.pool.mark_ordered(p.batch.requests.iter().copied());
             ctx.emit(ScEvent::Committed {
                 c: p.c,
                 o,
@@ -1470,7 +1431,7 @@ impl ScProcess {
             let now = ctx.now();
             let overdue = self.cfg.time_checks
                 && self
-                    .backlog
+                    .pool
                     .oldest_waiting()
                     .is_some_and(|t| now.since(t) > self.cfg.order_timeout);
             if overdue {
@@ -1572,11 +1533,6 @@ impl ScProcess {
     /// The order log (committed prefix inspection).
     pub fn log(&self) -> &OrderLog {
         &self.log
-    }
-
-    /// Number of requests known but not yet ordered.
-    pub fn unordered_len(&self) -> usize {
-        self.backlog.waiting_len()
     }
 }
 

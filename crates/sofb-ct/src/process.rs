@@ -2,10 +2,9 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use sofb_proto::backlog::RequestBacklog;
-use sofb_proto::fasthash::IdHashMap;
+use sofb_proto::backlog::RequestPool;
 use sofb_proto::ids::{ProcessId, Rank, SeqNo};
-use sofb_proto::request::{BatchRef, Digest, Request, RequestId};
+use sofb_proto::request::{BatchRef, Digest};
 use sofb_sim::engine::{Actor, Ctx};
 use sofb_sim::time::{SimDuration, SimTime};
 
@@ -64,8 +63,7 @@ pub struct CtProcess {
     cfg: CtConfig,
     next_propose: SeqNo,
     next_to_ack: SeqNo,
-    requests: IdHashMap<RequestId, Request>,
-    backlog: RequestBacklog<SimTime>,
+    pool: RequestPool<SimTime>,
     slots: BTreeMap<SeqNo, Slot>,
 }
 
@@ -76,8 +74,7 @@ impl CtProcess {
             cfg,
             next_propose: SeqNo(1),
             next_to_ack: SeqNo(1),
-            requests: IdHashMap::default(),
-            backlog: RequestBacklog::new(),
+            pool: RequestPool::default(),
             slots: BTreeMap::new(),
         }
     }
@@ -92,41 +89,11 @@ impl CtProcess {
         }
     }
 
-    fn on_request(&mut self, req: Request, ctx: &mut Ctx<'_, CtMsg, ScEvent>) {
-        if self.requests.contains_key(&req.id) {
-            return;
-        }
-        let id = req.id;
-        self.requests.insert(id, req);
-        self.backlog.note(id, ctx.now());
-    }
-
     fn propose_batch(&mut self, ctx: &mut Ctx<'_, CtMsg, ScEvent>) {
         if !self.i_am_coordinator() {
             return;
         }
-        let mut members: Vec<RequestId> = Vec::new();
-        let mut bytes = 0usize;
-        while let Some((id, _)) = self.backlog.front() {
-            let Some(req) = self.requests.get(&id) else {
-                self.backlog.pop_front();
-                continue;
-            };
-            if self.backlog.is_ordered(&id) {
-                self.backlog.pop_front();
-                continue;
-            }
-            let len = req.payload.len();
-            if !members.is_empty() && bytes + len > self.cfg.batch_max_bytes {
-                break;
-            }
-            members.push(id);
-            bytes += len;
-            self.backlog.pop_front();
-            if bytes >= self.cfg.batch_max_bytes {
-                break;
-            }
-        }
+        let members = self.pool.take_batch(self.cfg.batch_max_bytes);
         if members.is_empty() {
             return;
         }
@@ -135,11 +102,13 @@ impl CtProcess {
         // CT uses a plain (uncharged) content identifier: the paper's CT
         // incurs no cryptographic overhead, so the simulator bills nothing
         // for this digest.
-        let refs: Vec<&Request> = members.iter().map(|id| &self.requests[id]).collect();
-        let digest = Digest::new(&DigestAlg::Sha256.digest(&BatchRef::digest_input(&refs)));
+        let input = self
+            .pool
+            .digest_input(&members)
+            .expect("taken from the pool");
+        let digest = Digest::new(&DigestAlg::Sha256.digest(&input));
         let o = self.next_propose;
         self.next_propose = o.next();
-        self.backlog.mark_ordered(members.iter().copied());
         let order = CtOrder {
             o,
             batch: BatchRef {
@@ -159,8 +128,7 @@ impl CtProcess {
 
     fn accept_order(&mut self, order: CtOrder, from: ProcessId, ctx: &mut Ctx<'_, CtMsg, ScEvent>) {
         let o = order.o;
-        self.backlog
-            .mark_ordered(order.batch.requests.iter().copied());
+        self.pool.mark_ordered(order.batch.requests.iter().copied());
         let slot = self.slots.entry(o).or_default();
         if slot.order.is_none() {
             slot.order = Some(order);
@@ -237,7 +205,9 @@ impl Actor for CtProcess {
     fn on_message(&mut self, from: usize, msg: CtMsg, ctx: &mut Ctx<'_, CtMsg, ScEvent>) {
         let sender = ProcessId(from as u32);
         match msg {
-            CtMsg::Request(r) => self.on_request(r, ctx),
+            CtMsg::Request(r) => {
+                self.pool.admit(r, ctx.now());
+            }
             CtMsg::Order(o) => {
                 if sender == ProcessId(0) {
                     self.accept_order(o, sender, ctx);

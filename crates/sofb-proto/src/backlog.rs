@@ -1,9 +1,12 @@
-//! The request backlog every order protocol keeps: which requests are
-//! known-but-unordered, in arrival order, and which are already ordered.
+//! The request intake every order protocol shares: the store of known
+//! requests, which of them are still unordered (in arrival order), and
+//! batch formation over them.
 //!
-//! SC/SCR, BFT and CT all maintain the same pair of structures — an
-//! arrival-ordered deque feeding batch formation and an ordered-id set —
-//! with the same two hot-path subtleties, so the logic lives here once:
+//! SC/SCR, BFT and CT all take client requests the same way, so each
+//! keeps one [`RequestPool`]. The pool owns the request store (id →
+//! request) and wraps a [`RequestBacklog`]: an arrival-ordered deque
+//! feeding batch formation plus the ordered-id set. The backlog carries
+//! the two hot-path subtleties:
 //!
 //! * **Amortized compaction.** Marking a batch ordered does not sweep
 //!   the deque (that sweep, once per accepted order, was a benchmark
@@ -14,11 +17,15 @@
 //!   order-timeout, BFT's view-change trigger) ask how long the oldest
 //!   *waiting* request has been queued, so already-ordered entries are
 //!   popped off the front before reading it.
+//!
+//! The store is only ever looked up by id, never iterated, so hash order
+//! cannot reach a schedule: every loop walks a batch's id list or the
+//! arrival deque.
 
 use std::collections::VecDeque;
 
-use crate::fasthash::IdHashSet;
-use crate::request::RequestId;
+use crate::fasthash::{IdHashMap, IdHashSet};
+use crate::request::{BatchRef, Request, RequestId};
 
 /// Smallest deque length worth sweeping for already-ordered entries.
 const COMPACT_MIN: usize = 64;
@@ -102,13 +109,79 @@ impl<T: Copy> RequestBacklog<T> {
         }
         self.unordered.front().map(|&(_, t)| t)
     }
+}
 
-    /// Number of requests known but not yet ordered.
-    pub fn waiting_len(&self) -> usize {
-        self.unordered
-            .iter()
-            .filter(|(id, _)| !self.ordered.contains(id))
-            .count()
+/// The request store plus its [`RequestBacklog`]: one replica's intake.
+///
+/// `T` is the arrival stamp, as for the backlog.
+#[derive(Debug, Default)]
+pub struct RequestPool<T> {
+    requests: IdHashMap<RequestId, Request>,
+    backlog: RequestBacklog<T>,
+}
+
+impl<T: Copy> RequestPool<T> {
+    /// Stores a newly learned request and queues it (unless already
+    /// ordered). Returns false, changing nothing, for a re-delivery.
+    pub fn admit(&mut self, req: Request, at: T) -> bool {
+        if self.requests.contains_key(&req.id) {
+            return false;
+        }
+        let id = req.id;
+        self.requests.insert(id, req);
+        self.backlog.note(id, at);
+        true
+    }
+
+    /// Takes the next batch off the front of the backlog, in arrival
+    /// order, skipping already-ordered requests: payloads up to
+    /// `max_bytes` in total (a first request larger than that goes
+    /// alone). The taken ids are marked ordered.
+    pub fn take_batch(&mut self, max_bytes: usize) -> Vec<RequestId> {
+        let mut members: Vec<RequestId> = Vec::new();
+        let mut bytes = 0usize;
+        while let Some((id, _)) = self.backlog.front() {
+            if self.backlog.is_ordered(&id) {
+                self.backlog.pop_front();
+                continue;
+            }
+            let len = self.requests[&id].payload.len();
+            if !members.is_empty() && bytes + len > max_bytes {
+                break;
+            }
+            members.push(id);
+            bytes += len;
+            self.backlog.pop_front();
+            if bytes >= max_bytes {
+                break;
+            }
+        }
+        if !members.is_empty() {
+            self.backlog.mark_ordered(members.iter().copied());
+        }
+        members
+    }
+
+    /// The bytes a batch of `ids` is digested over
+    /// ([`BatchRef::digest_input`]), or `None` while any id is unknown.
+    pub fn digest_input(&self, ids: &[RequestId]) -> Option<Vec<u8>> {
+        let mut refs: Vec<&Request> = Vec::with_capacity(ids.len());
+        for id in ids {
+            refs.push(self.requests.get(id)?);
+        }
+        Some(BatchRef::digest_input(&refs))
+    }
+
+    /// Marks every id of a batch ordered (see
+    /// [`RequestBacklog::mark_ordered`]).
+    pub fn mark_ordered<I: IntoIterator<Item = RequestId>>(&mut self, ids: I) {
+        self.backlog.mark_ordered(ids);
+    }
+
+    /// Arrival stamp of the oldest request still awaiting an order (see
+    /// [`RequestBacklog::oldest_waiting`]).
+    pub fn oldest_waiting(&mut self) -> Option<T> {
+        self.backlog.oldest_waiting()
     }
 }
 
@@ -124,13 +197,21 @@ mod tests {
         }
     }
 
+    /// Number of requests known but not yet ordered.
+    fn waiting_len(b: &RequestBacklog<u64>) -> usize {
+        b.unordered
+            .iter()
+            .filter(|(id, _)| !b.ordered.contains(id))
+            .count()
+    }
+
     #[test]
     fn notes_skip_ordered_ids() {
         let mut b: RequestBacklog<u64> = RequestBacklog::new();
         b.mark_ordered([id(1)]);
         b.note(id(1), 10);
         b.note(id(2), 20);
-        assert_eq!(b.waiting_len(), 1);
+        assert_eq!(waiting_len(&b), 1);
         assert_eq!(b.front(), Some((id(2), 20)));
     }
 
@@ -144,7 +225,7 @@ mod tests {
         // Deque still holds the ordered fronts (no compaction below the
         // watermark) but age queries must not see them.
         assert_eq!(b.oldest_waiting(), Some(20));
-        assert_eq!(b.waiting_len(), 2);
+        assert_eq!(waiting_len(&b), 2);
     }
 
     #[test]
@@ -155,8 +236,72 @@ mod tests {
         }
         b.mark_ordered((0..150).map(id));
         // Past the watermark the sweep ran: only waiting entries remain.
-        assert_eq!(b.waiting_len(), 50);
+        assert_eq!(waiting_len(&b), 50);
         assert_eq!(b.unordered.len(), 50);
         assert_eq!(b.oldest_waiting(), Some(150));
+    }
+
+    fn req(seq: u64, len: usize) -> Request {
+        Request::new(ClientId(0), seq, vec![0xabu8; len])
+    }
+
+    #[test]
+    fn admit_dedups_without_requeueing() {
+        let mut p: RequestPool<u64> = RequestPool::default();
+        assert!(p.admit(req(1, 10), 1));
+        assert!(!p.admit(req(1, 10), 2));
+        assert_eq!(p.oldest_waiting(), Some(1));
+        assert_eq!(p.take_batch(1024), vec![id(1)]);
+        // Only one copy was queued: nothing is left to take.
+        assert_eq!(p.take_batch(1024), Vec::<RequestId>::new());
+        assert_eq!(p.oldest_waiting(), None);
+    }
+
+    #[test]
+    fn take_batch_caps_payload_bytes() {
+        let mut p: RequestPool<u64> = RequestPool::default();
+        // An oversized first request goes alone.
+        p.admit(req(1, 150), 1);
+        p.admit(req(2, 40), 2);
+        assert_eq!(p.take_batch(100), vec![id(1)]);
+        // 40 + 40 fits, a third 40 would go over the cap: stop before it.
+        p.admit(req(3, 40), 3);
+        p.admit(req(4, 40), 4);
+        assert_eq!(p.take_batch(100), vec![id(2), id(3)]);
+        // 40 + 60 reaches the cap exactly: stop there, even though the
+        // next (empty) request would still fit.
+        p.admit(req(5, 60), 5);
+        p.admit(req(6, 0), 6);
+        assert_eq!(p.take_batch(100), vec![id(4), id(5)]);
+        assert_eq!(p.take_batch(100), vec![id(6)]);
+        assert_eq!(p.oldest_waiting(), None);
+    }
+
+    #[test]
+    fn take_batch_skips_ids_ordered_elsewhere() {
+        let mut p: RequestPool<u64> = RequestPool::default();
+        for seq in 1..=3 {
+            p.admit(req(seq, 10), seq);
+        }
+        // A received proposal ordered request 2 first.
+        p.mark_ordered([id(2)]);
+        assert_eq!(p.take_batch(1024), vec![id(1), id(3)]);
+        // A request admitted after its order never queues.
+        p.mark_ordered([id(4)]);
+        p.admit(req(4, 10), 4);
+        assert_eq!(p.oldest_waiting(), None);
+    }
+
+    #[test]
+    fn digest_input_needs_every_request() {
+        let mut p: RequestPool<u64> = RequestPool::default();
+        let (a, b) = (req(1, 8), req(2, 16));
+        p.admit(a.clone(), 1);
+        p.admit(b.clone(), 2);
+        assert_eq!(p.digest_input(&[id(1), id(3)]), None);
+        assert_eq!(
+            p.digest_input(&[id(2), id(1)]),
+            Some(BatchRef::digest_input(&[&b, &a]))
+        );
     }
 }

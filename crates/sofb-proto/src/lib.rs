@@ -8,6 +8,8 @@
 //!   coordinator candidates, effective quorums under the dumb-process
 //!   optimization;
 //! * [`request`] — client requests, request ids, batches and digests;
+//! * [`backlog`] — the request pool every replica takes requests through:
+//!   store, dedup and batch formation;
 //! * [`codec`] — the canonical binary encoding signatures are computed
 //!   over;
 //! * [`signed`] — singly- and doubly-signed envelopes (§3's endorsement
