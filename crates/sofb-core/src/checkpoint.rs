@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use sofb_crypto::provider::CryptoProvider;
-use sofb_proto::codec::{CodecError, Decode, Decoder, Encode, Encoder};
+use sofb_proto::codec::{with_encoded, CodecError, Decode, Decoder, Encode, Encoder};
 use sofb_proto::ids::{ProcessId, SeqNo};
 use sofb_proto::request::Digest;
 
@@ -48,6 +48,22 @@ impl Decode for CheckpointPayload {
             o: SeqNo::decode(dec)?,
             digest: Digest::decode(dec)?,
         })
+    }
+}
+
+/// One link of the running digest's chain: the bytes digested are
+/// `running ‖ o ‖ batch digest`.
+struct ChainLink<'a> {
+    running: &'a Digest,
+    o: SeqNo,
+    batch_digest: &'a Digest,
+}
+
+impl Encode for ChainLink<'_> {
+    fn encode(&self, enc: &mut Encoder) {
+        self.running.encode(enc);
+        self.o.encode(enc);
+        self.batch_digest.encode(enc);
     }
 }
 
@@ -113,11 +129,12 @@ impl CheckpointTracker {
         provider: &mut dyn CryptoProvider,
     ) -> Option<CheckpointPayload> {
         assert_eq!(o, self.chained_up_to.next(), "commits must chain in order");
-        let mut enc = Encoder::new();
-        self.running.encode(&mut enc);
-        o.encode(&mut enc);
-        batch_digest.encode(&mut enc);
-        self.running = Digest::new(&provider.digest(&enc.into_bytes()));
+        let link = ChainLink {
+            running: &self.running,
+            o,
+            batch_digest,
+        };
+        self.running = Digest::new(&with_encoded(&link, |bytes| provider.digest(bytes)));
         self.chained_up_to = o;
         if self.enabled() && o.0.is_multiple_of(self.interval) && o > self.announced {
             self.announced = o;

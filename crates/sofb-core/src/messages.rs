@@ -80,12 +80,14 @@ impl OrderMsg {
         }
     }
 
-    /// The processes whose signatures the message carries.
-    pub fn signatories(&self) -> Vec<ProcessId> {
-        match self {
-            OrderMsg::Endorsed(d) => vec![d.first, d.second],
-            OrderMsg::Solo(s) => vec![s.signer],
-        }
+    /// The processes whose signatures the message carries: the pair's
+    /// two signers in signing order, or the one solo signer.
+    pub fn signatories(&self) -> impl Iterator<Item = ProcessId> {
+        let (first, second) = match self {
+            OrderMsg::Endorsed(d) => (d.first, Some(d.second)),
+            OrderMsg::Solo(s) => (s.signer, None),
+        };
+        std::iter::once(first).chain(second)
     }
 }
 
@@ -761,9 +763,12 @@ mod tests {
         let mut provs = Dealer::sim(SchemeId::Md5Rsa1024, 2, 9);
         let signed = Signed::sign(sample_order_payload(), &mut provs[0]);
         let solo = OrderMsg::Solo(signed.clone());
-        assert_eq!(solo.signatories(), vec![ProcessId(0)]);
+        assert_eq!(solo.signatories().collect::<Vec<_>>(), vec![ProcessId(0)]);
         let endorsed = OrderMsg::Endorsed(DoublySigned::endorse(signed, &mut provs[1]));
-        assert_eq!(endorsed.signatories(), vec![ProcessId(0), ProcessId(1)]);
+        assert_eq!(
+            endorsed.signatories().collect::<Vec<_>>(),
+            vec![ProcessId(0), ProcessId(1)]
+        );
     }
 
     #[test]

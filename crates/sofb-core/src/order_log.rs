@@ -88,6 +88,9 @@ impl OrderLog {
     /// Counts distinct eligible processes supporting `(o, digest)`:
     /// ack signers whose ack vouches for `digest`, plus the signatories of
     /// the stored order itself (an `order` counts like an `ack` in N2).
+    /// Counted, not collected: `acks` is keyed by signer, so its matches
+    /// are distinct, and a signatory adds one unless its own ack already
+    /// counted it or it repeats the previous signatory.
     pub fn evidence(
         &self,
         o: SeqNo,
@@ -97,57 +100,65 @@ impl OrderLog {
         let Some(rec) = self.records.get(&o) else {
             return 0;
         };
-        let mut voters: Vec<ProcessId> = Vec::new();
-        for (signer, ack) in &rec.acks {
-            if ack.payload.digest() == digest && eligible(*signer) {
-                voters.push(*signer);
-            }
-        }
+        let vouches = |p: &ProcessId| {
+            rec.acks
+                .get(p)
+                .is_some_and(|a| a.payload.digest() == digest)
+        };
+        let mut voters = rec
+            .acks
+            .iter()
+            .filter(|(p, a)| a.payload.digest() == digest && eligible(**p))
+            .count();
         if let Some(order) = &rec.order {
             if &order.payload().batch.digest == digest {
+                let mut previous = None;
                 for s in order.signatories() {
-                    if eligible(s) && !voters.contains(&s) {
-                        voters.push(s);
+                    if eligible(s) && !vouches(&s) && previous != Some(s) {
+                        voters += 1;
                     }
+                    previous = Some(s);
                 }
             }
         }
-        voters.len()
+        voters
     }
 
     /// Attempts to commit `o`: requires a stored order and `quorum`
-    /// eligible supporters of its digest. Returns the proof on the
-    /// *transition* to committed (None if already committed or not ready).
+    /// eligible supporters of its digest. Returns `true` on the
+    /// *transition* to committed (false if already committed or not
+    /// ready); the proof is kept in the record.
     pub fn try_commit(
         &mut self,
         o: SeqNo,
         quorum: usize,
         eligible: impl Fn(ProcessId) -> bool,
-    ) -> Option<CommitProof> {
-        let rec = self.records.get(&o)?;
+    ) -> bool {
+        let Some(rec) = self.records.get(&o) else {
+            return false;
+        };
         if rec.committed {
-            return None;
+            return false;
         }
-        let order = rec.order.clone()?;
+        let Some(order) = &rec.order else {
+            return false;
+        };
         let digest = order.payload().batch.digest;
         if self.evidence(o, &digest, &eligible) < quorum {
-            return None;
+            return false;
         }
         let rec = self.records.get_mut(&o).expect("checked above");
-        let proof = CommitProof {
-            acks: rec
-                .acks
-                .values()
-                .filter(|a| a.payload.digest() == &digest)
-                .cloned()
-                .collect(),
-        };
+        // Sized exactly: the proof is retained until the next stable
+        // checkpoint and travels in BackLogs.
+        let matching = |a: &&Signed<AckPayload>| a.payload.digest() == &digest;
+        let mut acks = Vec::with_capacity(rec.acks.values().filter(matching).count());
+        acks.extend(rec.acks.values().filter(matching).cloned());
+        rec.proof = Some(CommitProof { acks });
         rec.committed = true;
-        rec.proof = Some(proof.clone());
         if self.max_committed.is_none_or(|m| o > m) {
             self.max_committed = Some(o);
         }
-        Some(proof)
+        true
     }
 
     /// Directly marks `o` committed with the given order (used when a
@@ -244,8 +255,8 @@ mod tests {
         Dealer::sim(SchemeId::Md5Rsa1024, n, 5)
     }
 
-    fn order(provs: &mut [SimProvider], o: u64, digest: Vec<u8>) -> OrderMsg {
-        let payload = OrderPayload {
+    fn payload(o: u64, digest: Vec<u8>) -> OrderPayload {
+        OrderPayload {
             c: Rank(1),
             o: SeqNo(o),
             batch: BatchRef {
@@ -257,8 +268,11 @@ mod tests {
                 digest: Digest::new(&digest),
             },
             formed_at_ns: 0,
-        };
-        let signed = Signed::sign(payload, &mut provs[0]);
+        }
+    }
+
+    fn order(provs: &mut [SimProvider], o: u64, digest: Vec<u8>) -> OrderMsg {
+        let signed = Signed::sign(payload(o, digest), &mut provs[0]);
         // Shadow is the last provider in these tests.
         let n = provs.len();
         OrderMsg::Endorsed(DoublySigned::endorse(signed, &mut provs[n - 1]))
@@ -290,7 +304,7 @@ mod tests {
         // Acks alone (no stored order) never commit.
         log.store_ack(ack(&mut provs, 1, &om));
         log.store_ack(ack(&mut provs, 2, &om));
-        assert!(log.try_commit(SeqNo(1), 3, |_| true).is_none());
+        assert!(!log.try_commit(SeqNo(1), 3, |_| true));
         // Storing the order adds its two signatories as evidence.
         log.store_order(om.clone());
         // Evidence: acks {p1, p2} + signatories {p0, p4} = 4.
@@ -298,12 +312,13 @@ mod tests {
             log.evidence(SeqNo(1), &om.payload().batch.digest, |_| true),
             4
         );
-        let proof = log.try_commit(SeqNo(1), 4, |_| true).unwrap();
+        assert!(log.try_commit(SeqNo(1), 4, |_| true));
+        let proof = log.record(SeqNo(1)).unwrap().proof.as_ref().unwrap();
         assert_eq!(proof.acks.len(), 2);
         assert!(log.is_committed(SeqNo(1)));
         assert_eq!(log.max_committed(), Some(SeqNo(1)));
         // Second commit attempt is a no-op.
-        assert!(log.try_commit(SeqNo(1), 1, |_| true).is_none());
+        assert!(!log.try_commit(SeqNo(1), 1, |_| true));
     }
 
     #[test]
@@ -320,6 +335,131 @@ mod tests {
             log.evidence(SeqNo(1), d, |p| p != ProcessId(0) && p != ProcessId(4)),
             1
         );
+    }
+
+    #[test]
+    fn evidence_counts_an_acking_signatory_once() {
+        let mut provs = providers(5);
+        let mut log = OrderLog::default();
+        let om = order(&mut provs, 1, vec![1]);
+        log.store_order(om.clone());
+        log.store_ack(ack(&mut provs, 0, &om));
+        log.store_ack(ack(&mut provs, 1, &om));
+        // {p0 (acker and signatory), p1, p4}.
+        assert_eq!(log.evidence(SeqNo(1), &Digest::new(&[1]), |_| true), 3);
+        // A signatory whose ack vouches for another digest still counts
+        // for the order's own digest.
+        let mut log = OrderLog::default();
+        log.store_order(om);
+        let other = order(&mut provs, 1, vec![2]);
+        log.store_ack(ack(&mut provs, 0, &other));
+        assert_eq!(log.evidence(SeqNo(1), &Digest::new(&[1]), |_| true), 2);
+        assert_eq!(log.evidence(SeqNo(1), &Digest::new(&[2]), |_| true), 1);
+    }
+
+    #[test]
+    fn evidence_counts_a_solo_signatory_once() {
+        let mut provs = providers(5);
+        let mut log = OrderLog::default();
+        let solo = OrderMsg::Solo(Signed::sign(payload(1, vec![1]), &mut provs[0]));
+        log.store_order(solo.clone());
+        let d = Digest::new(&[1]);
+        assert_eq!(log.evidence(SeqNo(1), &d, |_| true), 1);
+        log.store_ack(ack(&mut provs, 0, &solo));
+        assert_eq!(log.evidence(SeqNo(1), &d, |_| true), 1);
+        log.store_ack(ack(&mut provs, 1, &solo));
+        assert_eq!(log.evidence(SeqNo(1), &d, |_| true), 2);
+    }
+
+    #[test]
+    fn evidence_skips_an_ineligible_signatory() {
+        let mut provs = providers(5);
+        let mut log = OrderLog::default();
+        let om = order(&mut provs, 1, vec![1]);
+        log.store_order(om.clone());
+        log.store_ack(ack(&mut provs, 1, &om));
+        log.store_ack(ack(&mut provs, 4, &om));
+        let d = Digest::new(&[1]);
+        // p4 signed and acked, but is ineligible: {p0, p1}.
+        assert_eq!(log.evidence(SeqNo(1), &d, |p| p != ProcessId(4)), 2);
+        // A pair whose two signatures are one process counts it once.
+        let mut log = OrderLog::default();
+        let signed = Signed::sign(payload(1, vec![1]), &mut provs[0]);
+        log.store_order(OrderMsg::Endorsed(DoublySigned::endorse(
+            signed,
+            &mut provs[0],
+        )));
+        assert_eq!(log.evidence(SeqNo(1), &d, |_| true), 1);
+    }
+
+    /// The evidence count as a collected voter list.
+    fn evidence_by_collecting(
+        log: &OrderLog,
+        o: SeqNo,
+        digest: &Digest,
+        eligible: impl Fn(ProcessId) -> bool,
+    ) -> usize {
+        let Some(rec) = log.record(o) else {
+            return 0;
+        };
+        let mut voters: Vec<ProcessId> = Vec::new();
+        for (signer, ack) in &rec.acks {
+            if ack.payload.digest() == digest && eligible(*signer) {
+                voters.push(*signer);
+            }
+        }
+        if let Some(order) = &rec.order {
+            if &order.payload().batch.digest == digest {
+                for s in order.signatories() {
+                    if eligible(s) && !voters.contains(&s) {
+                        voters.push(s);
+                    }
+                }
+            }
+        }
+        voters.len()
+    }
+
+    #[test]
+    fn evidence_matches_the_collected_voters() {
+        // Orders signed by the pair (p0, p4), by p0 alone and by p0
+        // twice; each of p0..p4 acks digest a, digest b or nothing; every
+        // eligibility set; counted for both digests.
+        let mut provs = providers(5);
+        let orders = [
+            order(&mut provs, 1, vec![0xa]),
+            OrderMsg::Solo(Signed::sign(payload(1, vec![0xa]), &mut provs[0])),
+            OrderMsg::Endorsed(DoublySigned::endorse(
+                Signed::sign(payload(1, vec![0xa]), &mut provs[0]),
+                &mut provs[0],
+            )),
+        ];
+        let om_b = order(&mut provs, 1, vec![0xb]);
+        let acks: Vec<[Signed<AckPayload>; 2]> = (0..5)
+            .map(|i| [ack(&mut provs, i, &orders[0]), ack(&mut provs, i, &om_b)])
+            .collect();
+        let digests = [Digest::new(&[0xa]), Digest::new(&[0xb])];
+        for om in &orders {
+            for mut votes in 0..3u32.pow(5) {
+                let mut log = OrderLog::default();
+                log.store_order(om.clone());
+                for pair in &acks {
+                    if let Some(a) = pair.get((votes % 3) as usize) {
+                        log.store_ack(a.clone());
+                    }
+                    votes /= 3;
+                }
+                for eligible_mask in 0u32..32 {
+                    let eligible = |p: ProcessId| eligible_mask & (1 << p.0) != 0;
+                    for d in &digests {
+                        assert_eq!(
+                            log.evidence(SeqNo(1), d, eligible),
+                            evidence_by_collecting(&log, SeqNo(1), d, eligible),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use sofb_crypto::provider::CryptoProvider;
 use sofb_proto::backlog::RequestPool;
-use sofb_proto::codec::Encode;
+use sofb_proto::codec::with_encoded;
 use sofb_proto::ids::{ProcessId, Rank, SeqNo, ViewId};
-use sofb_proto::pool::PooledBuf;
+use sofb_proto::pool::{BufPool, PooledBuf};
 use sofb_proto::request::{BatchRef, Digest, Request};
 use sofb_proto::signed::{DoublySigned, Signed};
 use sofb_proto::topology::{Candidate, Topology, Variant};
@@ -509,7 +509,7 @@ impl ScProcess {
             // orders — each pair member signs once per batch, which is
             // precisely why SC saturates later than BFT (two signings per
             // replica per batch).
-            let i_signed_it = order.signatories().contains(&self.me());
+            let i_signed_it = order.signatories().any(|s| s == self.me());
             if self.cfg.fault != Fault::DropAcks && !i_signed_it {
                 let ack = Signed::sign(AckPayload { order }, self.provider.as_mut());
                 self.multicast_all(ctx, ScMsg::Ack(ack));
@@ -554,7 +554,7 @@ impl ScProcess {
                 None => true,
             }
         };
-        if let Some(_proof) = self.log.try_commit(o, quorum, eligible) {
+        if self.log.try_commit(o, quorum, eligible) {
             let rec = self.log.record(o).expect("just committed");
             let order = rec.order.as_ref().expect("committed with order");
             let p = order.payload();
@@ -879,7 +879,7 @@ impl ScProcess {
         if self.start_msg.is_some() || self.halted {
             return;
         }
-        let digest = Digest::new(&self.provider.digest(&start.to_bytes_for_digest()));
+        let digest = Digest::new(&with_encoded(&start, |bytes| self.provider.digest(bytes)));
         self.start_digest = Some(digest);
         self.start_msg = Some(start.clone());
 
@@ -1049,22 +1049,7 @@ impl ScProcess {
         if self.start_committed || !self.installed {
             return;
         }
-        let mut voters: HashSet<ProcessId> = self
-            .start_acks
-            .keys()
-            .copied()
-            .filter(|p| self.eligible(*p))
-            .collect();
-        match &start {
-            StartMsg::Endorsed(d) => {
-                voters.insert(d.first);
-                voters.insert(d.second);
-            }
-            StartMsg::Solo(s) => {
-                voters.insert(s.signer);
-            }
-        }
-        if voters.len() < self.ack_quorum() {
+        if start_voters(&start, &self.start_acks, |p| self.eligible(p)) < self.ack_quorum() {
             return;
         }
         self.start_committed = true;
@@ -1348,9 +1333,9 @@ impl ScProcess {
         // MAC-authenticated (Assumption 2's MACs) — public-key signatures
         // on a 20 Hz liveness beat would dominate each node's CPU.
         if hb.signer != counterpart
-            || !self
-                .provider
-                .verify_mac(counterpart.0, &hb.payload.to_bytes(), &hb.sig)
+            || !with_encoded(&hb.payload, |bytes| {
+                self.provider.verify_mac(counterpart.0, bytes, &hb.sig)
+            })
         {
             return;
         }
@@ -1370,11 +1355,14 @@ impl ScProcess {
             pair: self.my_pair_rank().unwrap_or(Rank(0)),
             seq: self.hb_send_seq,
         };
-        let tag = self.provider.mac(counterpart.0, &payload.to_bytes());
+        let mut tag = BufPool::take();
+        with_encoded(&payload, |bytes| {
+            self.provider.mac_into(counterpart.0, bytes, &mut tag)
+        });
         let hb = Signed {
             payload,
             signer: self.me(),
-            sig: tag.into(),
+            sig: PooledBuf::seal(tag),
         };
         // Heartbeats flow even while Down so SCR pairs can recover; they
         // bypass the dumb-process gag because they never touch the
@@ -1536,11 +1524,28 @@ impl ScProcess {
     }
 }
 
-impl StartMsg {
-    /// The byte string identifying a Start for tuples and acks.
-    fn to_bytes_for_digest(&self) -> Vec<u8> {
-        self.to_bytes()
+/// Counts the distinct supporters of a Start: the eligible start-ackers,
+/// plus the Start's signatories whether eligible or not. Counted, not
+/// collected: a signatory adds one unless it was already counted as an
+/// eligible acker or repeats the first signatory.
+fn start_voters(
+    start: &StartMsg,
+    start_acks: &BTreeMap<ProcessId, Digest>,
+    eligible: impl Fn(ProcessId) -> bool,
+) -> usize {
+    let counted = |p: ProcessId| start_acks.contains_key(&p) && eligible(p);
+    let mut voters = start_acks.keys().filter(|p| eligible(**p)).count();
+    let (first, second) = match start {
+        StartMsg::Endorsed(d) => (d.first, Some(d.second)),
+        StartMsg::Solo(s) => (s.signer, None),
+    };
+    if !counted(first) {
+        voters += 1;
     }
+    if second.is_some_and(|p| p != first && !counted(p)) {
+        voters += 1;
+    }
+    voters
 }
 
 impl Actor for ScProcess {
@@ -1667,5 +1672,92 @@ impl std::fmt::Debug for ScProcess {
             .field("installed", &self.installed)
             .field("max_committed", &self.log.max_committed())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sofb_crypto::provider::{Dealer, SimProvider};
+    use sofb_crypto::scheme::SchemeId;
+
+    use super::*;
+    use crate::messages::StartPayload;
+
+    /// Starts signed by p0 alone, by the pair (p0, p4), and by p0 twice.
+    fn starts() -> Vec<StartMsg> {
+        let mut provs: Vec<SimProvider> = Dealer::sim(SchemeId::Md5Rsa1024, 5, 3);
+        let payload = StartPayload {
+            c: Rank(2),
+            start_o: SeqNo(7),
+            new_backlog: Vec::new(),
+        };
+        let signed = Signed::sign(payload, &mut provs[0]);
+        vec![
+            StartMsg::Solo(signed.clone()),
+            StartMsg::Endorsed(DoublySigned::endorse(signed.clone(), &mut provs[4])),
+            StartMsg::Endorsed(DoublySigned::endorse(signed, &mut provs[0])),
+        ]
+    }
+
+    /// The quorum count as a set: eligible start-ackers, plus every
+    /// signatory of the Start without an eligibility filter.
+    fn start_voter_set(
+        start: &StartMsg,
+        start_acks: &BTreeMap<ProcessId, Digest>,
+        eligible: impl Fn(ProcessId) -> bool,
+    ) -> usize {
+        let mut voters: HashSet<ProcessId> = start_acks
+            .keys()
+            .copied()
+            .filter(|p| eligible(*p))
+            .collect();
+        match start {
+            StartMsg::Endorsed(d) => {
+                voters.insert(d.first);
+                voters.insert(d.second);
+            }
+            StartMsg::Solo(s) => {
+                voters.insert(s.signer);
+            }
+        }
+        voters.len()
+    }
+
+    #[test]
+    fn start_voters_counts_an_acking_signatory_once() {
+        let [_, pair, _] = &starts()[..] else {
+            unreachable!()
+        };
+        let acks: BTreeMap<ProcessId, Digest> = [ProcessId(0), ProcessId(1)]
+            .into_iter()
+            .map(|p| (p, Digest::empty()))
+            .collect();
+        // {p0 (acker and signatory), p1, p4}.
+        assert_eq!(start_voters(pair, &acks, |_| true), 3);
+        // An ineligible acking signatory still counts as a signatory;
+        // an ineligible plain acker does not count at all.
+        assert_eq!(start_voters(pair, &acks, |p| p != ProcessId(0)), 3);
+        assert_eq!(start_voters(pair, &acks, |p| p != ProcessId(1)), 2);
+    }
+
+    #[test]
+    fn start_voters_matches_the_voter_set() {
+        // Every ack set and eligibility set over p0..p4, for each Start.
+        for start in &starts() {
+            for ack_mask in 0u32..32 {
+                let acks: BTreeMap<ProcessId, Digest> = (0..5)
+                    .filter(|i| ack_mask & (1 << i) != 0)
+                    .map(|i| (ProcessId(i), Digest::empty()))
+                    .collect();
+                for eligible_mask in 0u32..32 {
+                    let eligible = |p: ProcessId| eligible_mask & (1 << p.0) != 0;
+                    assert_eq!(
+                        start_voters(start, &acks, eligible),
+                        start_voter_set(start, &acks, eligible),
+                        "{start:?} acks {ack_mask:05b} eligible {eligible_mask:05b}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -64,6 +64,16 @@ pub trait CryptoProvider: Send {
     /// signatures would be needless overhead).
     fn mac(&mut self, peer: u32, message: &[u8]) -> Vec<u8>;
 
+    /// Computes the [`CryptoProvider::mac`] tag into `out` (cleared
+    /// first). Hot-path variant like [`CryptoProvider::sign_into`]: the
+    /// default delegates to `mac`, implementations that can fill a caller
+    /// buffer without allocating should override it.
+    fn mac_into(&mut self, peer: u32, message: &[u8], out: &mut Vec<u8>) {
+        let tag = self.mac(peer, message);
+        out.clear();
+        out.extend_from_slice(&tag);
+    }
+
     /// Verifies a pairwise MAC tag from `peer`.
     fn verify_mac(&mut self, peer: u32, message: &[u8], tag: &[u8]) -> bool;
 
@@ -226,16 +236,15 @@ impl SimProvider {
         )
     }
 
-    /// The symmetric per-pair tag behind `mac`/`verify_mac` (cost is
-    /// accrued by the callers).
-    fn pair_tag(&self, peer: u32, message: &[u8]) -> Vec<u8> {
+    /// The order-independent id of the pair `(self, peer)`, which keys
+    /// the symmetric per-pair tag behind `mac_into`/`verify_mac`.
+    fn pair_id(&self, peer: u32) -> u64 {
         let (lo, hi) = if self.id <= peer {
             (self.id, peer)
         } else {
             (peer, self.id)
         };
-        let pair = (u64::from(lo) << 32) | u64::from(hi);
-        oracle_tag(self.master ^ MAC_DOMAIN, pair, message, SIM_MAC_LEN)
+        (u64::from(lo) << 32) | u64::from(hi)
     }
 }
 
@@ -351,8 +360,16 @@ impl CryptoProvider for SimProvider {
     }
 
     fn mac(&mut self, peer: u32, message: &[u8]) -> Vec<u8> {
+        let mut tag = Vec::with_capacity(SIM_MAC_LEN);
+        self.mac_into(peer, message, &mut tag);
+        tag
+    }
+
+    fn mac_into(&mut self, peer: u32, message: &[u8], out: &mut Vec<u8>) {
         self.cost_ns += 2 * self.timing.digest_cost(message.len()).max(1_000);
-        self.pair_tag(peer, message)
+        out.clear();
+        out.resize(SIM_MAC_LEN, 0);
+        oracle_tag_into(self.master ^ MAC_DOMAIN, self.pair_id(peer), message, out);
     }
 
     fn verify_mac(&mut self, peer: u32, message: &[u8], tag: &[u8]) -> bool {
@@ -360,14 +377,13 @@ impl CryptoProvider for SimProvider {
         if tag.len() != SIM_MAC_LEN {
             return false;
         }
-        let (lo, hi) = if self.id <= peer {
-            (self.id, peer)
-        } else {
-            (peer, self.id)
-        };
-        let pair = (u64::from(lo) << 32) | u64::from(hi);
         let mut expected = [0u8; SIM_MAC_LEN];
-        oracle_tag_into(self.master ^ MAC_DOMAIN, pair, message, &mut expected);
+        oracle_tag_into(
+            self.master ^ MAC_DOMAIN,
+            self.pair_id(peer),
+            message,
+            &mut expected,
+        );
         expected[..] == *tag
     }
 
@@ -531,6 +547,39 @@ mod tests {
         let mut provs = Dealer::real(&mut rng, SchemeId::Md5Rsa1024, 1, Some(512));
         let sig = provs[0].sign(b"m");
         assert!(!provs[0].verify(99, b"m", &sig));
+    }
+
+    #[test]
+    fn sim_mac_into_matches_mac() {
+        let mut provs = Dealer::sim(SchemeId::Md5Rsa1024, 2, 42);
+        let tag = provs[0].mac(1, b"heartbeat");
+        let mac_cost = provs[0].take_cost_ns();
+        // A recycled buffer: stale bytes and a different length.
+        let mut out = vec![0xee; 3];
+        provs[0].mac_into(1, b"heartbeat", &mut out);
+        assert_eq!(out, tag);
+        assert_eq!(provs[0].take_cost_ns(), mac_cost);
+        // `mac` shares `mac_into`'s code, so pin both against the
+        // separately written check and the calibrated charge.
+        assert!(provs[1].verify_mac(0, b"heartbeat", &out));
+        let timing = SchemeTiming::calibrated(SchemeId::Md5Rsa1024);
+        assert_eq!(
+            mac_cost,
+            2 * timing.digest_cost(b"heartbeat".len()).max(1_000)
+        );
+    }
+
+    #[test]
+    fn default_mac_into_matches_mac() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut provs = Dealer::real(&mut rng, SchemeId::Md5Rsa1024, 2, Some(512));
+        let tag = provs[1].mac(0, b"heartbeat");
+        let mac_cost = provs[1].take_cost_ns();
+        let mut out = vec![0xee; 3];
+        provs[1].mac_into(0, b"heartbeat", &mut out);
+        assert_eq!(out, tag);
+        assert_eq!(provs[1].take_cost_ns(), mac_cost);
+        assert!(provs[0].verify_mac(1, b"heartbeat", &out));
     }
 
     #[test]

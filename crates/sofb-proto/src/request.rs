@@ -176,9 +176,11 @@ pub struct BatchRef {
 }
 
 impl BatchRef {
-    /// Builds the byte string the batch digest is computed over.
+    /// Builds the byte string the batch digest is computed over, in one
+    /// allocation of exactly its length.
     pub fn digest_input(requests: &[&Request]) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        let len = 4 + requests.iter().map(|r| r.encoded_len()).sum::<usize>();
+        let mut enc = Encoder::reuse(Vec::with_capacity(len));
         enc.put_u32(requests.len() as u32);
         for r in requests {
             r.encode(&mut enc);
@@ -249,6 +251,19 @@ mod tests {
         let rev = BatchRef::digest_input(&[&r2, &r1]);
         assert_ne!(fwd, rev, "order must be significant");
         assert_eq!(fwd, BatchRef::digest_input(&[&r1, &r2]));
+    }
+
+    #[test]
+    fn batch_digest_input_is_sized_exactly() {
+        let r1 = Request::new(ClientId(1), 1, &b"a"[..]);
+        let r2 = Request::new(ClientId(2), 7, &[0xab; 10][..]);
+        let input = BatchRef::digest_input(&[&r1, &r2]);
+        // The count, then each request's canonical encoding.
+        let mut expected = 2u32.to_le_bytes().to_vec();
+        expected.extend(r1.to_bytes());
+        expected.extend(r2.to_bytes());
+        assert_eq!(input, expected);
+        assert_eq!(input.capacity(), input.len());
     }
 
     #[test]
