@@ -57,7 +57,7 @@ pub fn sharded_scenario(
 ) -> Scenario {
     bench_scenario(kind, f, scheme, interval_ms, seed, window)
         .shards(shards)
-        .clients(3, ClientLoad::constant(rate_per_client, 100).per_shard())
+        .clients(3, ClientLoad::constant(rate_per_client, 100))
 }
 
 /// The Figure-6 fail-over scenario: a single value-domain fault at the

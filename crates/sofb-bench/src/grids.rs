@@ -290,10 +290,11 @@ pub const MILLION_SHARDS: usize = 2;
 pub const MILLION_WORLD_WORKERS: [usize; 2] = [1, 2];
 
 /// The `million_clients` grid: a 2-shard world carrying 10⁵ aggregated
-/// Poisson clients (200 req/s per shard), swept over world-worker
-/// counts. The traces are bit-identical along the axis; only the wall
-/// clock moves — `benchmark/`'s `sim_sharded` workload times that
-/// ratio on the same posture (`sofb-harness.parallel_speedup`).
+/// Poisson clients (2 000 req/s per shard, far past saturation), swept
+/// over world-worker counts. The traces are bit-identical along the
+/// axis; only the wall clock moves — `benchmark/`'s `sim_sharded`
+/// workload times that ratio on the same posture
+/// (`sofb-harness.parallel_speedup`).
 pub fn million_clients() -> SweepGrid {
     SweepGrid::new(
         bench_scenario(
@@ -307,9 +308,7 @@ pub fn million_clients() -> SweepGrid {
         .shards(MILLION_SHARDS)
         .clients(
             1,
-            ClientLoad::poisson(MILLION_RATE_PER_CLIENT, 100)
-                .per_shard()
-                .population(MILLION_POPULATION),
+            ClientLoad::poisson(MILLION_RATE_PER_CLIENT, 100).population(MILLION_POPULATION),
         ),
     )
     .axis(Axis::world_workers(&MILLION_WORLD_WORKERS))

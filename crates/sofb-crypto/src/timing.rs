@@ -36,9 +36,10 @@ impl SchemeTiming {
     /// magnitudes: `java.math.BigInteger` modular exponentiation).
     ///
     /// These values make a 2.8 GHz P4 sign roughly 35 RSA-1024 messages
-    /// per second — which is what puts the paper's SC saturation knee
-    /// near a 40 ms batching interval and BFT's (two signings per batch
-    /// per replica) at a larger interval.
+    /// per second. The simulated fig4 shows no saturation knee from
+    /// them: `sofb run specs/fig4.scn` reads an SC p50 of 108 ms at a
+    /// 40 ms interval against 98 ms at 100 ms (BFT, two signings per
+    /// batch per replica: 195 against 135).
     pub fn calibrated(scheme: SchemeId) -> Self {
         match scheme {
             SchemeId::Md5Rsa1024 => SchemeTiming {

@@ -14,7 +14,6 @@ use sofb_sim::metrics::Histogram;
 use sofb_sim::time::SimTime;
 
 use crate::event::ProtocolEvent;
-use crate::shard::ShardRouter;
 
 /// Order latency per sequence number: batch formation (`formed_at_ns`,
 /// stamped by the coordinator) to the *first* process committing it —
@@ -310,32 +309,6 @@ pub fn check_exactly_once(
     Ok(())
 }
 
-/// Verifies shard isolation: every committed request landed on the shard
-/// the router assigns it to. A commit elsewhere means client traffic
-/// leaked across ordering-group boundaries.
-pub fn check_no_cross_shard_leakage(
-    events: &[TimedEvent<ProtocolEvent>],
-    nodes_per_shard: usize,
-    router: &ShardRouter,
-) -> Result<(), String> {
-    for ev in events {
-        if let ProtocolEvent::Committed { o, request_ids, .. } = &ev.event {
-            let shard = ev.node / nodes_per_shard;
-            for rid in request_ids.iter() {
-                let expected = router.route_request(rid.client, rid.seq);
-                if expected != shard {
-                    return Err(format!(
-                        "request {rid:?} routed to shard {expected} but committed \
-                         at {o:?} on shard {shard} (node {})",
-                        ev.node
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The largest sequence number committed by every one of `nodes` (liveness
 /// floor), if all of them committed anything.
 pub fn common_committed_prefix(
@@ -543,21 +516,6 @@ mod tests {
             committed_rids(4, 1, &[(0, 0)]),
         ];
         assert!(check_exactly_once(&bad, 4).is_err());
-    }
-
-    #[test]
-    fn leakage_checker_catches_wrong_shard_commit() {
-        let router = ShardRouter::hash(2);
-        // Route each request to its proper shard: a clean two-shard trace.
-        let (mine, theirs): (Vec<_>, Vec<_>) = (0..8u64)
-            .map(|s| (0u32, s))
-            .partition(|&(c, s)| router.route_request(ClientId(c), s) == 0);
-        let ok = vec![committed_rids(0, 1, &mine), committed_rids(4, 1, &theirs)];
-        assert!(check_no_cross_shard_leakage(&ok, 4, &router).is_ok());
-        // Swap the shards: every commit now sits on the wrong group.
-        let bad = vec![committed_rids(0, 1, &theirs), committed_rids(4, 1, &mine)];
-        let err = check_no_cross_shard_leakage(&bad, 4, &router).unwrap_err();
-        assert!(err.contains("routed to shard"), "unexpected message: {err}");
     }
 
     #[test]

@@ -19,7 +19,6 @@ use sofb_sim::engine::{Actor, Ctx, WireSize};
 use sofb_sim::time::{SimDuration, SimTime};
 
 use crate::event::ProtocolEvent;
-use crate::shard::{ShardLoad, ShardRouter};
 
 /// Timer tag used by the client actor.
 const TIMER_CLIENT: u64 = 100;
@@ -69,11 +68,18 @@ pub(crate) enum Destinations {
         n: usize,
     },
     /// One shard's view of a multi-shard client: the actor walks the
-    /// full multi-shard request schedule (so sequence numbers and
-    /// routing agree across shards) but materializes only the requests
-    /// routed to its own shard, whose order processes are local nodes
-    /// `0..n`. Every shard engine hosts one such replica; together they
-    /// partition the client's global schedule.
+    /// full multi-shard request schedule (so sequence numbers agree
+    /// across shards) but materializes only the requests dealt to its
+    /// own shard, whose order processes are local nodes `0..n`. Every
+    /// shard engine hosts one such replica; together they partition the
+    /// client's global schedule.
+    ///
+    /// Dealing is round-robin on the sequence number, so every shard
+    /// receives the spec's rate and, under [`Arrival::Constant`], a
+    /// constant-interval arrival process. Under [`Arrival::Poisson`]
+    /// the *aggregate* process is Poisson at `rate × S`, but each shard
+    /// then sees Erlang-`S` inter-arrivals (mean rate `rate`, lower
+    /// variance than Poisson).
     Slice {
         /// Order processes of the owning shard (local nodes `0..n`).
         n: usize,
@@ -81,36 +87,20 @@ pub(crate) enum Destinations {
         shard: usize,
         /// Total shard count of the logical world.
         shards: usize,
-        /// Key-based routing policy ([`ShardLoad::Global`] mode).
-        router: ShardRouter,
-        /// How the spec's rate maps onto the shard set.
-        load: ShardLoad,
     },
 }
 
 impl Destinations {
-    /// The local node range a request with sequence number `seq` from
-    /// client `id` multicasts to — `None` when the request belongs to a
-    /// different shard of a [`Destinations::Slice`] world and is
-    /// skipped (the sequence number is still consumed, keeping the
-    /// schedule aligned across shard replicas).
-    pub(crate) fn targets(&self, id: ClientId, seq: u64) -> Option<Range<usize>> {
-        match self {
-            Destinations::Flat { n } => Some(0..*n),
-            Destinations::Slice {
-                n,
-                shard,
-                shards,
-                router,
-                load,
-            } => {
-                let dealt = match load {
-                    // Round-robin keeps every shard's arrival process
-                    // constant-interval at exactly the spec rate.
-                    ShardLoad::PerShard => (seq - 1) as usize % shards,
-                    ShardLoad::Global => router.route_request(id, seq),
-                };
-                (dealt == *shard).then_some(0..*n)
+    /// The local node range a request with sequence number `seq`
+    /// multicasts to — `None` when the request is dealt to a different
+    /// shard of a [`Destinations::Slice`] world and is skipped (the
+    /// sequence number is still consumed, keeping the schedule aligned
+    /// across shard replicas).
+    pub(crate) fn targets(&self, seq: u64) -> Option<Range<usize>> {
+        match *self {
+            Destinations::Flat { n } => Some(0..n),
+            Destinations::Slice { n, shard, shards } => {
+                ((seq - 1) as usize % shards == shard).then_some(0..n)
             }
         }
     }
@@ -120,7 +110,7 @@ impl Destinations {
 /// each request is wrapped through `wrap` (the protocol's
 /// request-constructor) and multicast to one ordering group — the whole
 /// world in the flat case, or its own shard's engine when the request is
-/// routed there.
+/// dealt there.
 pub struct ClientActor<M> {
     id: ClientId,
     dest: Destinations,
@@ -167,54 +157,32 @@ impl<M> ClientActor<M> {
     }
 
     /// Creates one shard's replica of a multi-shard client: the full
-    /// request schedule is walked (identical sequence numbering and
-    /// routing on every shard), but only requests routed to `shard` are
-    /// multicast, to the local nodes `0..n` of that shard's engine.
-    /// Under [`ShardLoad::Global`] the spec's rate is the client's total
-    /// offered load, spread over shards by the router's key policy;
-    /// under [`ShardLoad::PerShard`] every shard receives the spec's
-    /// rate (the client issues at `rate × shards`, dealt round-robin so
-    /// the per-shard arrival process stays constant-interval under
-    /// [`Arrival::Constant`]).
+    /// request schedule is walked (identical sequence numbering on
+    /// every shard), but only requests dealt to `shard` are multicast,
+    /// to the local nodes `0..n` of that shard's engine. Every shard
+    /// receives the spec's rate: the client issues at `rate × shards`,
+    /// dealt round-robin (see [`Destinations::Slice`]).
     ///
     /// # Panics
     ///
-    /// Panics if the spec's rate is not positive, if `shard` is out of
-    /// range, or if the router's shard count differs from `shards`.
-    #[allow(clippy::too_many_arguments)] // one knob per slice coordinate
+    /// Panics if the spec's rate is not positive or if `shard` is out
+    /// of range.
     pub(crate) fn new_slice(
         id: ClientId,
         n: usize,
         shard: usize,
         shards: usize,
-        router: ShardRouter,
-        load: ShardLoad,
         spec: &ClientSpec,
         arrival: Arrival,
         wrap: fn(Request) -> M,
     ) -> Self {
         assert!(spec.rate_per_sec > 0.0, "client rate must be positive");
         assert!(shard < shards, "slice shard index out of range");
-        assert_eq!(
-            router.shard_count(),
-            shards,
-            "router shard count must match the world's shard count"
-        );
-        let rate = match load {
-            ShardLoad::Global => spec.rate_per_sec,
-            ShardLoad::PerShard => spec.rate_per_sec * shards as f64,
-        };
         ClientActor {
             id,
-            dest: Destinations::Slice {
-                n,
-                shard,
-                shards,
-                router,
-                load,
-            },
+            dest: Destinations::Slice { n, shard, shards },
             payload: Bytes::from(vec![0xabu8; spec.request_size]),
-            mean_interval: SimDuration((1e9 / rate).round() as u64),
+            mean_interval: SimDuration((1e9 / (spec.rate_per_sec * shards as f64)).round() as u64),
             stop_at: spec.stop_at,
             arrival,
             next_seq: 0,
@@ -269,7 +237,7 @@ impl<M: Clone + WireSize + fmt::Debug> Actor for ClientActor<M> {
             return;
         }
         self.next_seq += 1;
-        if let Some(targets) = self.dest.targets(self.id, self.next_seq) {
+        if let Some(targets) = self.dest.targets(self.next_seq) {
             let req = Request::new(self.id, self.next_seq, self.payload.clone());
             ctx.multicast(targets, (self.wrap)(req));
         }

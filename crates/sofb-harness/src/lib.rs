@@ -9,13 +9,11 @@
 //! * [`builder::WorldBuilder`] — the flat world-assembly code path:
 //!   every single-group deployment of every variant (SC, SCR, BFT, CT)
 //!   is built here;
-//! * [`shard::ShardRouter`] — key-based request routing (hash or
-//!   explicit ranges) for multi-shard worlds, whose `S` independent
-//!   ordering groups each run in their own engine;
 //! * [`client::ClientActor`] — the one synthetic client implementation,
 //!   with constant-rate or open-loop Poisson arrivals, multicasting to
-//!   its flat world or, as one shard's replica, to the requests routed
-//!   there;
+//!   its flat world or, as one shard's replica in a multi-shard world
+//!   (`S` independent ordering groups, each in its own engine), to the
+//!   requests dealt round-robin to that shard;
 //! * [`population::ClientPopulation`] — N open-loop clients aggregated
 //!   into one actor by Poisson superposition (aggregate rate N·λ,
 //!   per-client ids synthesized deterministically at emission), so a
@@ -63,7 +61,7 @@ mod parallel;
 pub mod population;
 pub mod protocol;
 pub mod scenario;
-pub mod shard;
+mod shard;
 
 pub use builder::{Deployment, WorldBuilder};
 pub use client::{Arrival, ClientActor, ClientSpec};
@@ -72,7 +70,6 @@ pub use fault::{FaultPlan, FaultSpec};
 pub use population::ClientPopulation;
 pub use protocol::{Knobs, Links, Protocol, ProtocolKind};
 pub use scenario::{
-    Axis, ClientLoad, GridPoint, GridReport, LatencySummary, ObservedRun, Report, RouterPolicy,
-    Scenario, ScenarioError, ScenarioFault, ScenarioFaultKind, ShardReport, SweepGrid, Window,
+    Axis, ClientLoad, GridPoint, GridReport, LatencySummary, ObservedRun, Report, Scenario,
+    ScenarioError, ScenarioFault, ScenarioFaultKind, ShardReport, SweepGrid, Window,
 };
-pub use shard::{RouterConfigError, ShardLoad, ShardRouter};

@@ -38,7 +38,7 @@ use crate::fault::{apply_engine_fault, FaultSpec};
 use crate::population::ClientPopulation;
 use crate::protocol::Protocol;
 use crate::scenario::{summarize, ObservedRun, Scenario, ScenarioError};
-use crate::shard::{shard_seed, ShardRouter};
+use crate::shard::shard_seed;
 
 /// One shard engine's outputs, sent back from its worker thread.
 struct ShardRun {
@@ -59,7 +59,6 @@ pub(crate) fn run_world_parallel<P: Protocol>(
 ) -> Result<ObservedRun, ScenarioError> {
     let n = P::node_count(&scenario.knobs);
     let shards = scenario.shards;
-    let router = scenario.router.build(shards)?;
 
     // Pre-lower the fault plan — the only fallible per-shard step — so
     // the worker threads are infallible.
@@ -80,12 +79,11 @@ pub(crate) fn run_world_parallel<P: Protocol>(
         // Zero (unset) or one worker: the same per-shard path, inline —
         // the determinism anchor N-worker runs are compared against.
         for (s, slot) in runs.iter_mut().enumerate() {
-            *slot = Some(run_shard::<P>(scenario, s, n, &router, &faults, trace));
+            *slot = Some(run_shard::<P>(scenario, s, n, &faults, trace));
         }
     } else {
         let next = AtomicUsize::new(0);
         let next_ref = &next;
-        let router_ref = &router;
         let faults_ref = &faults;
         let (tx, rx) = bounded::<(usize, ShardRun)>(shards);
         std::thread::scope(|scope| {
@@ -96,7 +94,7 @@ pub(crate) fn run_world_parallel<P: Protocol>(
                     if s >= shards {
                         break;
                     }
-                    let run = run_shard::<P>(scenario, s, n, router_ref, faults_ref, trace);
+                    let run = run_shard::<P>(scenario, s, n, faults_ref, trace);
                     if tx.send((s, run)).is_err() {
                         break;
                     }
@@ -189,7 +187,6 @@ fn run_shard<P: Protocol>(
     scenario: &Scenario,
     s: usize,
     n: usize,
-    router: &ShardRouter,
     faults: &[(usize, ProcessId, FaultSpec<P::Byz>)],
     trace: Option<&TraceConfig>,
 ) -> ShardRun {
@@ -231,8 +228,6 @@ fn run_shard<P: Protocol>(
                 n,
                 s,
                 scenario.shards,
-                router.clone(),
-                c.load,
                 &spec,
                 c.arrival,
                 scenario.knobs.seed,
@@ -244,8 +239,6 @@ fn run_shard<P: Protocol>(
                 n,
                 s,
                 scenario.shards,
-                router.clone(),
-                c.load,
                 &spec,
                 c.arrival,
                 P::request_msg,

@@ -31,7 +31,7 @@ use sofb_sim::time::{SimDuration, SimTime};
 
 use crate::client::{Arrival, ClientSpec, Destinations};
 use crate::event::ProtocolEvent;
-use crate::shard::{splitmix64, ShardLoad, ShardRouter};
+use crate::shard::splitmix64;
 
 /// Timer tag used by the population actor.
 const TIMER_POPULATION: u64 = 101;
@@ -146,17 +146,15 @@ impl<M> ClientPopulation<M> {
     /// Creates one shard's replica of a multi-shard population: the full
     /// aggregate schedule is walked (the member-pick stream and sequence
     /// counters advance identically on every shard), but only requests
-    /// routed to `shard` are multicast, to the local nodes `0..n` of
+    /// dealt to `shard` are multicast, to the local nodes `0..n` of
     /// that shard's engine. Rates follow
-    /// [`ClientActor`](crate::client::ClientActor)'s slice semantics
-    /// (under [`ShardLoad::PerShard`] every member offers `rate` to
-    /// *each* shard).
+    /// [`ClientActor`](crate::client::ClientActor)'s slice semantics:
+    /// every member offers `rate` to *each* shard.
     ///
     /// # Panics
     ///
-    /// Panics if `count` is 0, the spec's rate is not positive, `shard`
-    /// is out of range, or the router's shard count differs from
-    /// `shards`.
+    /// Panics if `count` is 0, the spec's rate is not positive, or
+    /// `shard` is out of range.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_slice(
         base_id: ClientId,
@@ -164,34 +162,17 @@ impl<M> ClientPopulation<M> {
         n: usize,
         shard: usize,
         shards: usize,
-        router: ShardRouter,
-        load: ShardLoad,
         spec: &ClientSpec,
         arrival: Arrival,
         seed: u64,
         wrap: fn(Request) -> M,
     ) -> Self {
         assert!(shard < shards, "slice shard index out of range");
-        assert_eq!(
-            router.shard_count(),
-            shards,
-            "router shard count must match the world's shard count"
-        );
-        let mult = match load {
-            ShardLoad::Global => 1.0,
-            ShardLoad::PerShard => shards as f64,
-        };
         Self::with_dest(
             base_id,
             count,
-            Destinations::Slice {
-                n,
-                shard,
-                shards,
-                router,
-                load,
-            },
-            mult,
+            Destinations::Slice { n, shard, shards },
+            shards as f64,
             spec,
             arrival,
             seed,
@@ -200,7 +181,7 @@ impl<M> ClientPopulation<M> {
     }
 
     /// Emits one request from member `member`: advance its sequence
-    /// counter, route, and multicast — or skip the send (counter still
+    /// counter, deal, and multicast — or skip the send (counter still
     /// advanced) when the request belongs to another shard's slice.
     fn emit(&mut self, member: usize, ctx: &mut Ctx<'_, M, ProtocolEvent>)
     where
@@ -210,7 +191,7 @@ impl<M> ClientPopulation<M> {
         self.next_seq[member] += 1;
         let seq = self.next_seq[member];
         let id = ClientId(self.base_id + member as u32);
-        if let Some(targets) = self.dest.targets(id, seq) {
+        if let Some(targets) = self.dest.targets(seq) {
             let req = Request::new(id, seq, self.payload.clone());
             ctx.multicast(targets, (self.wrap)(req));
         }
@@ -463,41 +444,49 @@ mod tests {
     }
 
     /// Shard replicas of one Poisson population partition the global
-    /// request-id set exactly: same pick stream, disjoint slices.
+    /// request-id set exactly: same pick stream, disjoint slices dealt
+    /// round-robin on each member's sequence number, whose union is the
+    /// flat population's schedule at `rate × shards`.
     #[test]
     fn slice_replicas_partition_the_request_id_space() {
         let shards = 3;
         let spec = ClientSpec::new(30.0, 100, SimTime::from_secs(50));
-        let mut all: Vec<Vec<(u32, u64)>> = Vec::new();
-        for shard in 0..shards {
-            let mut pop: ClientPopulation<Raw> = ClientPopulation::new_slice(
+        let slice = |shard| -> ClientPopulation<Raw> {
+            ClientPopulation::new_slice(
                 ClientId(0),
                 16,
                 1,
                 shard,
                 shards,
-                ShardRouter::hash(shards),
-                ShardLoad::Global,
                 &spec,
                 Arrival::Poisson,
                 5,
                 Raw,
-            );
-            // Different driver seeds: replicas agree on the partition
+            )
+        };
+        for shard in 0..shards {
+            // Different driver seeds: replicas agree on the dealing
             // even when their engines' RNGs (hence arrival times) differ.
-            let (emitted, _) = drive(&mut pop, 50, 90 + shard as u64);
-            all.push(emitted);
-        }
-        let router = ShardRouter::hash(shards);
-        for (shard, emitted) in all.iter().enumerate() {
+            let (emitted, _) = drive(&mut slice(shard), 50, 90 + shard as u64);
             assert!(!emitted.is_empty(), "shard {shard} emitted nothing");
-            for &(id, seq) in emitted {
+            for &(id, seq) in &emitted {
                 assert_eq!(
-                    router.route_request(ClientId(id), seq),
+                    (seq - 1) as usize % shards,
                     shard,
                     "request ({id},{seq}) emitted on the wrong shard"
                 );
             }
         }
+        // One driver seed: the slices tile the flat schedule.
+        let mut union: Vec<(u32, u64)> = (0..shards)
+            .flat_map(|shard| drive(&mut slice(shard), 50, 90).0)
+            .collect();
+        let flat_spec = ClientSpec::new(30.0 * shards as f64, 100, SimTime::from_secs(50));
+        let mut flat: ClientPopulation<Raw> =
+            ClientPopulation::new(ClientId(0), 16, 1, &flat_spec, Arrival::Poisson, 5, Raw);
+        let (mut all, _) = drive(&mut flat, 50, 90);
+        union.sort_unstable();
+        all.sort_unstable();
+        assert_eq!(union, all);
     }
 }

@@ -2,8 +2,8 @@
 //! every experiment, flat or sharded.
 //!
 //! A [`Scenario`] is a plain value describing a complete experiment —
-//! protocol kind, resilience, crypto scheme, shard count and router
-//! policy, client workload (rate, size, arrival process, load mapping),
+//! protocol kind, resilience, crypto scheme, shard count, client
+//! workload (rate, size, arrival process, population),
 //! network/CPU models, a fault plan with pre/post-GST windows, the
 //! measurement window and the seed. [`Scenario::validate`] rejects
 //! malformed specs with typed [`ScenarioError`]s (never a panic);
@@ -48,7 +48,6 @@ use crate::client::{Arrival, ClientSpec};
 use crate::event::ProtocolEvent;
 use crate::fault::FaultSpec;
 use crate::protocol::{Knobs, Links, Protocol, ProtocolKind};
-use crate::shard::{RouterConfigError, ShardLoad, ShardRouter};
 
 /// Measurement window for one scenario run: clients stop issuing at
 /// `run_s`, the world keeps draining until `run_s + drain_s`, and the
@@ -93,21 +92,19 @@ impl Window {
 }
 
 /// One synthetic client's workload inside a scenario: the rate, request
-/// size, arrival process and (for sharded worlds) load mapping. The stop
+/// size, arrival process and population. The stop
 /// time is derived from the scenario's [`Window`] — clients always stop
 /// where the measurement window ends.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClientLoad {
-    /// Requests per second (total, or per shard under
-    /// [`ShardLoad::PerShard`]).
+    /// Requests per second. In a multi-shard world every shard receives
+    /// this rate: the client issues at `rate × shards`, dealt
+    /// round-robin.
     pub rate_per_sec: f64,
     /// Payload size in bytes.
     pub request_size: usize,
     /// Arrival process.
     pub arrival: Arrival,
-    /// How the rate maps onto a sharded world (ignored when
-    /// `shards == 1`).
-    pub load: ShardLoad,
     /// How many simulated clients this entry stands for. The default 1
     /// deploys one [`ClientActor`](crate::client::ClientActor); larger
     /// counts aggregate into a single
@@ -124,7 +121,6 @@ impl ClientLoad {
             rate_per_sec,
             request_size,
             arrival: Arrival::Constant,
-            load: ShardLoad::Global,
             population: 1,
         }
     }
@@ -137,56 +133,12 @@ impl ClientLoad {
         }
     }
 
-    /// Switches the load mapping to fixed-per-shard (the client issues
-    /// at `rate × shards`, dealt round-robin).
-    pub fn per_shard(mut self) -> Self {
-        self.load = ShardLoad::PerShard;
-        self
-    }
-
     /// Aggregates this entry into a population of `n` simulated clients
     /// sharing the spec, each offering `rate_per_sec` (see
     /// [`ClientLoad::population`]). Validation rejects 0.
     pub fn population(mut self, n: usize) -> Self {
         self.population = n;
         self
-    }
-}
-
-/// How a sharded scenario routes requests to shards.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub enum RouterPolicy {
-    /// Stable key hashing over the shard count ([`ShardRouter::hash`]).
-    #[default]
-    Hash,
-    /// `shards` equal slices of the key space
-    /// ([`ShardRouter::even_ranges`]).
-    EvenRanges,
-    /// Explicit inclusive key ranges, shard `i` owning `ranges[i]`;
-    /// validated like [`ShardRouter::ranges`] — malformed configurations
-    /// are a [`ScenarioError::Router`], never a panic.
-    Ranges(Vec<(u64, u64)>),
-}
-
-impl RouterPolicy {
-    /// Builds the router for a world of `shards` groups (shared with
-    /// the parallel runner; public so trace oracles outside the crate
-    /// can reconstruct the routing a scenario implies).
-    pub fn build(&self, shards: usize) -> Result<ShardRouter, ScenarioError> {
-        let router = match self {
-            RouterPolicy::Hash => ShardRouter::hash(shards),
-            RouterPolicy::EvenRanges => ShardRouter::even_ranges(shards),
-            RouterPolicy::Ranges(ranges) => {
-                ShardRouter::ranges(ranges.clone()).map_err(ScenarioError::Router)?
-            }
-        };
-        if router.shard_count() != shards {
-            return Err(ScenarioError::RouterShardMismatch {
-                router: router.shard_count(),
-                world: shards,
-            });
-        }
-        Ok(router)
     }
 }
 
@@ -373,15 +325,6 @@ pub enum ScenarioError {
     },
     /// `shards` is zero.
     NoShards,
-    /// The explicit-range router policy is malformed.
-    Router(RouterConfigError),
-    /// The router's shard count differs from the world's.
-    RouterShardMismatch {
-        /// Shards the router spreads keys over.
-        router: usize,
-        /// Shards the world actually has.
-        world: usize,
-    },
     /// A client's rate is not a positive finite number.
     ClientRate {
         /// Index into `clients`.
@@ -473,11 +416,6 @@ impl fmt::Display for ScenarioError {
                 "field `knobs.variant`: kind {kind} conflicts with variant {variant:?}"
             ),
             ScenarioError::NoShards => write!(f, "field `shards`: a world needs at least 1 shard"),
-            ScenarioError::Router(e) => write!(f, "field `router`: {e}"),
-            ScenarioError::RouterShardMismatch { router, world } => write!(
-                f,
-                "field `router`: router covers {router} shard(s) but the world has {world}"
-            ),
             ScenarioError::ClientRate { client, rate } => write!(
                 f,
                 "field `clients[{client}].rate_per_sec`: rate must be positive and finite, got {rate}"
@@ -549,8 +487,6 @@ pub struct Scenario {
     pub knobs: Knobs,
     /// Number of independent ordering groups (1 = the flat world).
     pub shards: usize,
-    /// Request-to-shard routing policy (ignored when `shards == 1`).
-    pub router: RouterPolicy,
     /// The synthetic client workload.
     pub clients: Vec<ClientLoad>,
     /// The two link classes of the testbed.
@@ -565,8 +501,8 @@ pub struct Scenario {
     /// engines. A thread count only: 0 (the default, "unset") and 1 both
     /// run the shards inline on the calling thread, larger values on up
     /// to that many threads — every value realizes the identical
-    /// schedule, bit for bit. Ignored when `shards == 1`, like
-    /// [`Scenario::router`]: a flat world has nothing to split.
+    /// schedule, bit for bit. Ignored when `shards == 1`: a flat world
+    /// has nothing to split.
     pub world_workers: usize,
 }
 
@@ -582,7 +518,6 @@ impl Scenario {
             kind,
             knobs,
             shards: 1,
-            router: RouterPolicy::Hash,
             clients: Vec::new(),
             links: Links::default(),
             cpu: CpuModel::default(),
@@ -668,12 +603,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the request-routing policy.
-    pub fn router(mut self, policy: RouterPolicy) -> Self {
-        self.router = policy;
-        self
-    }
-
     /// Sets the world-worker thread count (see
     /// [`Scenario::world_workers`]): the shards of a multi-shard world
     /// run on up to that many threads; the result does not depend on it.
@@ -736,13 +665,7 @@ impl Scenario {
         let secs = self.window.run_s as f64;
         self.clients
             .iter()
-            .map(|c| {
-                let mult = match (self.shards, c.load) {
-                    (s, ShardLoad::PerShard) if s > 1 => s as f64,
-                    _ => 1.0,
-                };
-                c.rate_per_sec * mult * secs * c.population as f64
-            })
+            .map(|c| c.rate_per_sec * self.shards as f64 * secs * c.population as f64)
             .sum()
     }
 
@@ -772,12 +695,6 @@ impl Scenario {
         }
         if self.shards == 0 {
             return Err(ScenarioError::NoShards);
-        }
-        if self.shards > 1 {
-            self.router.build(self.shards)?;
-        } else if let RouterPolicy::Ranges(ranges) = &self.router {
-            // Even unused, a malformed policy is a defect worth naming.
-            ShardRouter::ranges(ranges.clone()).map_err(ScenarioError::Router)?;
         }
         for (i, c) in self.clients.iter().enumerate() {
             if !(c.rate_per_sec.is_finite() && c.rate_per_sec > 0.0) {
@@ -1715,33 +1632,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_router_ranges_are_rejected() {
-        let err = Scenario::new(ProtocolKind::Sc)
-            .shards(2)
-            .router(RouterPolicy::Ranges(vec![(0, 10), (12, u64::MAX)]))
-            .validate()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ScenarioError::Router(RouterConfigError::OverlapOrGap { shard: 1 })
-        );
-        assert!(err.to_string().contains("`router`"), "{err}");
-        // A wrong-arity (but well-formed) range set mismatches the world.
-        let err = Scenario::new(ProtocolKind::Sc)
-            .shards(3)
-            .router(RouterPolicy::Ranges(vec![(0, 9), (10, u64::MAX)]))
-            .validate()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ScenarioError::RouterShardMismatch {
-                router: 2,
-                world: 3
-            }
-        );
-    }
-
-    #[test]
     fn inverted_fault_window_is_rejected() {
         let err = Scenario::new(ProtocolKind::Bft)
             .fault(ScenarioFault::mute_until(
@@ -1870,7 +1760,7 @@ mod tests {
         assert_eq!(flat.offered_requests(), 3.0 * 100.0 * 14.0);
         let sharded = Scenario::bench(ProtocolKind::Sc)
             .shards(4)
-            .clients(2, ClientLoad::constant(50.0, 100).per_shard());
+            .clients(2, ClientLoad::constant(50.0, 100));
         assert_eq!(sharded.offered_requests(), 2.0 * 50.0 * 4.0 * 14.0);
     }
 }

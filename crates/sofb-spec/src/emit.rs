@@ -14,8 +14,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use sofb_harness::scenario::{RouterPolicy, Scenario, ScenarioFaultKind};
-use sofb_harness::{Arrival, Links, ShardLoad};
+use sofb_harness::scenario::{Scenario, ScenarioFaultKind};
+use sofb_harness::{Arrival, Links};
 use sofb_sim::cpu::CpuModel;
 use sofb_sim::time::{SimDuration, SimTime};
 
@@ -74,24 +74,6 @@ fn time_ms(t: SimTime, what: &'static str) -> Result<u64, EmitError> {
         return Err(EmitError::SubMillisecond { what });
     }
     Ok(t.as_ns() / NS_PER_MS)
-}
-
-fn router_value(policy: &RouterPolicy) -> String {
-    match policy {
-        RouterPolicy::Hash => "hash".to_string(),
-        RouterPolicy::EvenRanges => "even_ranges".to_string(),
-        RouterPolicy::Ranges(ranges) => {
-            let mut out = "ranges".to_string();
-            for (lo, hi) in ranges {
-                if *hi == u64::MAX {
-                    let _ = write!(out, " {lo}..=max");
-                } else {
-                    let _ = write!(out, " {lo}..={hi}");
-                }
-            }
-            out
-        }
-    }
 }
 
 /// Serializes a single-point scenario as `.scn` text with a pinned
@@ -161,7 +143,6 @@ pub fn emit_spec(
         }
     }
     let _ = writeln!(out, "shards = {}", scenario.shards);
-    let _ = writeln!(out, "router = {}", router_value(&scenario.router));
     // 0 is the programmatic legacy-path default the grammar rejects;
     // omitting the key reproduces it.
     if scenario.world_workers > 0 {
@@ -186,14 +167,6 @@ pub fn emit_spec(
             match c.arrival {
                 Arrival::Constant => "constant",
                 Arrival::Poisson => "poisson",
-            }
-        );
-        let _ = writeln!(
-            out,
-            "load = {}",
-            match c.load {
-                ShardLoad::Global => "global",
-                ShardLoad::PerShard => "per_shard",
             }
         );
         let _ = writeln!(out, "population = {}", c.population);

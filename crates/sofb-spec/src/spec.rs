@@ -11,8 +11,8 @@
 use std::fmt;
 
 use sofb_crypto::scheme::SchemeId;
-use sofb_harness::scenario::{Axis, ClientLoad, RouterPolicy, Scenario, ScenarioFault, SweepGrid};
-use sofb_harness::{Arrival, ProtocolKind, ShardLoad};
+use sofb_harness::scenario::{Axis, ClientLoad, Scenario, ScenarioFault, SweepGrid};
+use sofb_harness::{Arrival, ProtocolKind};
 use sofb_obs::TraceConfig;
 use sofb_proto::ids::{ProcessId, SeqNo};
 use sofb_sim::time::{SimDuration, SimTime};
@@ -624,50 +624,6 @@ fn parse_scheme(entry: &RawEntry, token: &str) -> Result<SchemeId, SpecError> {
         })
 }
 
-fn parse_router(entry: &RawEntry) -> Result<RouterPolicy, SpecError> {
-    let normalized = entry.value.replace(',', " ");
-    let mut tokens = normalized.split_whitespace();
-    let policy = match tokens.next() {
-        Some("hash") => RouterPolicy::Hash,
-        Some("even_ranges") => RouterPolicy::EvenRanges,
-        Some("ranges") => {
-            let mut ranges = Vec::new();
-            for tok in tokens.by_ref() {
-                let Some((lo, hi)) = tok.split_once("..=") else {
-                    return Err(bad_value(entry, ROUTER_EXPECTED));
-                };
-                let lo = lo
-                    .parse::<u64>()
-                    .map_err(|_| bad_value(entry, ROUTER_EXPECTED))?;
-                let hi = if hi.eq_ignore_ascii_case("max") {
-                    u64::MAX
-                } else {
-                    hi.parse::<u64>()
-                        .map_err(|_| bad_value(entry, ROUTER_EXPECTED))?
-                };
-                ranges.push((lo, hi));
-            }
-            if ranges.is_empty() {
-                return Err(SpecError::new(
-                    entry.line,
-                    SpecErrorKind::EmptyValues {
-                        key: entry.key.clone(),
-                    },
-                ));
-            }
-            return Ok(RouterPolicy::Ranges(ranges));
-        }
-        _ => return Err(bad_value(entry, ROUTER_EXPECTED)),
-    };
-    if tokens.next().is_some() {
-        return Err(bad_value(entry, ROUTER_EXPECTED));
-    }
-    Ok(policy)
-}
-
-const ROUTER_EXPECTED: &str =
-    "`hash`, `even_ranges`, or `ranges <lo>..=<hi> ...` (hi may be `max`)";
-
 /// Splits a comma-separated value list into trimmed non-empty tokens.
 /// Lowers a `[trace]` section onto a [`TraceConfig`]:
 ///
@@ -787,7 +743,6 @@ fn apply_scenario_key(s: &mut Scenario, entry: &RawEntry) -> Result<bool, SpecEr
             }
         }
         "shards" => s.shards = parse_usize(entry)?,
-        "router" => s.router = parse_router(entry)?,
         "world_workers" => {
             // 0 is the programmatic "unset" default and stays
             // unreachable from specs, same as from the CLI flag.
@@ -857,11 +812,11 @@ fn build_client(section: &RawSection) -> Result<(ClientLoad, usize), SpecError> 
                     _ => return Err(bad_value(e, "`constant` or `poisson`")),
                 }
             }
+            // Per-shard dealing is the only semantics; the key stays
+            // accepted (and sets nothing) because committed specs say it.
             "load" => {
-                load.load = match e.value.to_ascii_lowercase().as_str() {
-                    "global" => ShardLoad::Global,
-                    "per_shard" => ShardLoad::PerShard,
-                    _ => return Err(bad_value(e, "`global` or `per_shard`")),
+                if !e.value.eq_ignore_ascii_case("per_shard") {
+                    return Err(bad_value(e, "`per_shard`"));
                 }
             }
             "population" => {

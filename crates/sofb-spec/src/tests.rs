@@ -3,9 +3,7 @@
 //! reported line numbers.
 
 use sofb_crypto::scheme::SchemeId;
-use sofb_harness::scenario::{
-    Axis, ClientLoad, RouterPolicy, Scenario, ScenarioFault, SweepGrid, Window,
-};
+use sofb_harness::scenario::{Axis, ClientLoad, Scenario, ScenarioFault, SweepGrid, Window};
 use sofb_harness::{ProtocolKind, ScenarioFaultKind};
 use sofb_proto::ids::{ProcessId, SeqNo};
 use sofb_sim::time::{SimDuration, SimTime};
@@ -61,7 +59,6 @@ fn every_scenario_field_round_trips() {
          time_checks = off\n\
          request_timeout_ms = 900\n\
          shards = 2\n\
-         router = even_ranges\n\
          world_workers = 3\n\
          [window]\n\
          warmup_s = 1\n\
@@ -87,14 +84,13 @@ fn every_scenario_field_round_trips() {
         .time_checks(false)
         .request_timeout(SimDuration::from_ms(900))
         .shards(2)
-        .router(RouterPolicy::EvenRanges)
         .world_workers(3)
         .window(Window {
             warmup_s: 1,
             run_s: 9,
             drain_s: 3,
         })
-        .clients(2, ClientLoad::poisson(55.5, 256).per_shard().population(4))
+        .clients(2, ClientLoad::poisson(55.5, 256).population(4))
         .client(ClientLoad::constant(10.0, 100));
     want.knobs.batch_max_bytes = 2048;
     want.knobs.heartbeat_period = SimDuration::from_ms(75);
@@ -180,20 +176,6 @@ fn every_fault_kind_round_trips() {
                 },
             },
         ]
-    );
-}
-
-#[test]
-fn explicit_router_ranges_round_trip() {
-    let spec = parse(
-        "[scenario]\n\
-         kind = CT\n\
-         shards = 2\n\
-         router = ranges 0..=9, 10..=max\n",
-    );
-    assert_eq!(
-        spec.base.router,
-        RouterPolicy::Ranges(vec![(0, 9), (10, u64::MAX)])
     );
 }
 
@@ -492,12 +474,33 @@ fn bad_enum_values_name_the_line() {
         "{err:?}"
     );
 
-    let err = parse_err("[scenario]\nkind = SC\nrouter = nearest\n");
-    assert_eq!(err.line, 3);
-    assert!(
-        matches!(err.kind, SpecErrorKind::BadValue { ref key, .. } if key == "router"),
-        "{err:?}"
-    );
+    // Per-shard dealing is the only load semantics: `load` accepts only
+    // `per_shard`, and the shard router is gone, so its key is unknown.
+    for value in ["global", "bogus"] {
+        let err = parse_err(&format!(
+            "[scenario]\nkind = SC\nshards = 2\n[client]\nrate = 9\nload = {value}\n"
+        ));
+        assert_eq!(err.line, 6);
+        assert!(
+            matches!(err.kind, SpecErrorKind::BadValue { ref key, .. } if key == "load"),
+            "{err:?}"
+        );
+        assert!(err.to_string().starts_with("line 6:"), "{err}");
+        assert!(err.to_string().contains("`load`"), "{err}");
+    }
+    for value in ["hash", "nearest"] {
+        let err = parse_err(&format!("[scenario]\nkind = SC\nrouter = {value}\n"));
+        assert_eq!(err.line, 3);
+        assert_eq!(
+            err.kind,
+            SpecErrorKind::UnknownKey {
+                section: "scenario".into(),
+                key: "router".into()
+            }
+        );
+        assert!(err.to_string().starts_with("line 3:"), "{err}");
+        assert!(err.to_string().contains("router"), "{err}");
+    }
 }
 
 /// Zero workers/members is the programmatic "unset" sentinel, never a
@@ -748,14 +751,13 @@ fn emitted_spec_round_trips() {
         .time_checks(false)
         .request_timeout(SimDuration::from_ms(900))
         .shards(2)
-        .router(RouterPolicy::EvenRanges)
         .world_workers(2)
         .window(Window {
             warmup_s: 1,
             run_s: 5,
             drain_s: 7,
         })
-        .client(ClientLoad::poisson(55.5, 256).per_shard().population(3))
+        .client(ClientLoad::poisson(55.5, 256).population(3))
         .client(ClientLoad::constant(10.0, 100));
     s.faults = vec![
         ScenarioFault::crash(ProcessId(1), SimTime::from_secs(3)),

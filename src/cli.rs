@@ -209,8 +209,8 @@ spec:
     --seed S       campaign seed; one seed reproduces one campaign
                    exactly (default: 1)
     --smoke        CI-sized budget (caps --runs at 8)
-    --oracle NAME  check one oracle instead of the default three
-                   (total_order, exactly_once, no_leakage, commit_cap:N)
+    --oracle NAME  check one oracle instead of the default two
+                   (total_order, exactly_once, commit_cap:N)
     --out-dir DIR  where shrunk repros are written (default: specs/repros)
     --replay       re-run the repro spec once and assert its pinned
                    [meta] verdict (excludes every other flag)";
@@ -696,7 +696,7 @@ fn parse_fuzz_args(args: &[String]) -> Result<FuzzArgs, CliError> {
                 Oracle::parse(v).ok_or_else(|| {
                     usage_err(format!(
                         "--oracle: `{v}` is not an oracle \
-                         (total_order, exactly_once, no_leakage, commit_cap:N)"
+                         (total_order, exactly_once, commit_cap:N)"
                     ))
                 })?;
                 fz.oracle = Some(v.clone());

@@ -46,9 +46,6 @@ pub enum Oracle {
     /// Every request commits at exactly one `(shard, sequence)`
     /// ([`analysis::check_exactly_once`]).
     ExactlyOnce,
-    /// Every commit lands on the shard the router assigns
-    /// ([`analysis::check_no_cross_shard_leakage`]).
-    NoLeakage,
     /// Test-only weakened oracle: fails when any commit's sequence
     /// number exceeds the cap. Safe protocols violate it under plain
     /// load, which makes the whole find → shrink → emit → replay
@@ -60,16 +57,15 @@ impl Oracle {
     /// The default oracle set: the paper's cross-protocol safety
     /// invariants.
     pub fn defaults() -> Vec<Oracle> {
-        vec![Oracle::TotalOrder, Oracle::ExactlyOnce, Oracle::NoLeakage]
+        vec![Oracle::TotalOrder, Oracle::ExactlyOnce]
     }
 
     /// Parses an oracle name (`total_order`, `exactly_once`,
-    /// `no_leakage`, `commit_cap:N`).
+    /// `commit_cap:N`).
     pub fn parse(name: &str) -> Option<Oracle> {
         match name {
             "total_order" => Some(Oracle::TotalOrder),
             "exactly_once" => Some(Oracle::ExactlyOnce),
-            "no_leakage" => Some(Oracle::NoLeakage),
             _ => name
                 .strip_prefix("commit_cap:")?
                 .parse()
@@ -101,13 +97,6 @@ impl Oracle {
                 Ok(())
             }
             Oracle::ExactlyOnce => analysis::check_exactly_once(events, n),
-            Oracle::NoLeakage => {
-                let router = scenario
-                    .router
-                    .build(scenario.shards)
-                    .map_err(|e| e.to_string())?;
-                analysis::check_no_cross_shard_leakage(events, n, &router)
-            }
             Oracle::CommitCap(cap) => {
                 for ev in events {
                     if let ProtocolEvent::Committed { o, .. } = &ev.event {
@@ -130,7 +119,6 @@ impl fmt::Display for Oracle {
         match self {
             Oracle::TotalOrder => write!(f, "total_order"),
             Oracle::ExactlyOnce => write!(f, "exactly_once"),
-            Oracle::NoLeakage => write!(f, "no_leakage"),
             Oracle::CommitCap(cap) => write!(f, "commit_cap:{cap}"),
         }
     }
@@ -629,8 +617,8 @@ impl fmt::Display for ReplayError {
             }
             ReplayError::UnknownOracle(name) => write!(
                 f,
-                "unknown oracle `{name}` (expected total_order, exactly_once, \
-                 no_leakage, or commit_cap:N)"
+                "unknown oracle `{name}` (expected total_order, exactly_once \
+                 or commit_cap:N)"
             ),
             ReplayError::Scenario(e) => write!(f, "{e}"),
             ReplayError::Mismatch { expected, detail } => {

@@ -32,8 +32,8 @@ use sofb_sim::engine::TimedEvent;
 
 pub use sofb_harness::scenario::{
     Axis, ClientLoad, GridCell, GridPoint, GridReport, LatencySummary, ObservedRun, Report,
-    RouterPolicy, Scenario, ScenarioError, ScenarioFault, ScenarioFaultKind, ScenarioPatch,
-    ShardReport, SweepGrid, Window,
+    Scenario, ScenarioError, ScenarioFault, ScenarioFaultKind, ScenarioPatch, ShardReport,
+    SweepGrid, Window,
 };
 pub use sofb_harness::ProtocolEvent;
 

@@ -274,6 +274,9 @@ fn fuzz_usage_defects_are_typed() {
         vec!["fuzz", "x.scn", "--seed", "nope"],
         vec!["fuzz", "x.scn", "--oracle", "bogus"],
         vec!["fuzz", "x.scn", "--oracle", "commit_cap:x"],
+        // `no_leakage` names no oracle, and `--oracles` is no flag.
+        vec!["fuzz", "x.scn", "--oracle", "no_leakage"],
+        vec!["fuzz", "x.scn", "--oracles", "no_leakage"],
         vec!["fuzz", "x.scn", "--oracle"],
         vec!["fuzz", "x.scn", "--out-dir"],
         vec!["fuzz", "x.scn", "--bogus"],

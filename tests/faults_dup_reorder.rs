@@ -133,7 +133,10 @@ fn every_variant_stays_safe_under_dup_and_reorder() {
 /// count.
 #[test]
 fn dup_and_reorder_run_bit_identical_in_parallel() {
+    // Every shard receives a client's rate: halve it so each of the two
+    // shards carries the flat world's load.
     let one = base(ProtocolKind::Sc)
+        .clients(1, ClientLoad::constant(40.0, 100))
         .shards(2)
         .world_workers(1)
         .fault(

@@ -22,7 +22,8 @@ fn world(kind: ProtocolKind, shards: usize, workers: usize) -> Scenario {
             drain_s: 4,
         })
         .shards(shards)
-        .clients(2, ClientLoad::constant(60.0, 100))
+        // Every shard receives a client's rate: 60 req/s per client in all.
+        .clients(2, ClientLoad::constant(60.0 / shards as f64, 100))
         .world_workers(workers)
 }
 

@@ -19,7 +19,7 @@ use sofbyz::harness::{ClientSpec, FaultSpec, Protocol, ProtocolEvent, ProtocolKi
 use sofbyz::proto::ids::ProcessId;
 use sofbyz::proto::topology::Variant;
 use sofbyz::scenario::{
-    self, Axis, ClientLoad, RouterPolicy, Scenario, ScenarioError, ScenarioFault, SweepGrid, Window,
+    self, Axis, ClientLoad, Scenario, ScenarioError, ScenarioFault, SweepGrid, Window,
 };
 use sofbyz::sim::engine::TimedEvent;
 use sofbyz::sim::time::{SimDuration, SimTime};
@@ -193,16 +193,6 @@ fn runner_rejects_malformed_specs_with_typed_errors() {
     .unwrap_err();
     assert!(matches!(err, ScenarioError::EmptyWindow { .. }), "{err:?}");
 
-    // Malformed shard-router ranges (gap between 10 and 12).
-    let err = scenario::run(
-        &equivalent_scenario(ProtocolKind::Sc, 1)
-            .shards(2)
-            .router(RouterPolicy::Ranges(vec![(0, 10), (12, u64::MAX)])),
-    )
-    .unwrap_err();
-    assert!(matches!(err, ScenarioError::Router(_)), "{err:?}");
-    assert!(err.to_string().contains("`router`"), "{err}");
-
     // A fault window with until <= from.
     let err = scenario::run(&equivalent_scenario(ProtocolKind::Bft, 1).fault(
         ScenarioFault::mute_until(ProcessId(0), SimTime::from_secs(2), SimTime::from_secs(2)),
@@ -247,7 +237,7 @@ fn sharded_scenario_runs_and_rolls_up() {
     let report = scenario::run(
         &equivalent_scenario(ProtocolKind::Ct, 23)
             .shards(2)
-            .clients(2, ClientLoad::constant(80.0, 100).per_shard()),
+            .clients(2, ClientLoad::constant(80.0, 100)),
     )
     .expect("valid sharded scenario");
     assert_eq!(report.per_shard.len(), 2);

@@ -1,33 +1,31 @@
 //! Sharded-world correctness: seeded sweeps over {2, 4, 8} ordering
 //! groups × all four protocol variants through the one multi-shard
 //! lowering (`Scenario` with `shards > 1`: an isolated engine per shard,
-//! traces merged by `(time, shard)`), asserting the three sharding
+//! traces merged by `(time, shard)`), asserting the two sharding
 //! invariants —
 //!
 //! 1. **per-shard total order** (each group is a safe total-order
-//!    instance of its protocol),
-//! 2. **no cross-shard request leakage** (every request commits only in
-//!    the shard the router assigned it to), and
-//! 3. **exactly-once delivery per request id** (no request is ordered
+//!    instance of its protocol), and
+//! 2. **exactly-once delivery per request id** (no request is ordered
 //!    twice, in one shard or across shards) —
 //!
 //! plus determinism and the per-shard engine accounting.
 
 use sofbyz::harness::{analysis, ProtocolEvent, ProtocolKind};
-use sofbyz::scenario::{run_traced, ClientLoad, Report, RouterPolicy, Scenario, Window};
+use sofbyz::scenario::{run_traced, ClientLoad, Report, Scenario, Window};
 use sofbyz::sim::engine::TimedEvent;
 
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 
 /// The identical workload every sharded variant is subjected to: one
-/// 120 req/s client whose *total* offered load is spread over the
-/// shards by the router, stopping at 2 s; the world drains until 6 s.
+/// client offering 120 req/s in total, dealt round-robin so every shard
+/// receives `120 / shards`, stopping at 2 s; the world drains until 6 s.
 fn world(kind: ProtocolKind, shards: usize, seed: u64) -> Scenario {
     Scenario::new(kind)
         .seed(seed)
         .interval_ms(80)
         .shards(shards)
-        .client(ClientLoad::constant(120.0, 100))
+        .client(ClientLoad::constant(120.0 / shards as f64, 100))
         .window(Window {
             warmup_s: 0,
             run_s: 2,
@@ -39,7 +37,7 @@ fn run(s: &Scenario) -> (Report, Vec<TimedEvent<ProtocolEvent>>) {
     run_traced(s).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Checks the three sharding invariants on one run.
+/// Checks the two sharding invariants on one run.
 fn check_invariants(name: &str, s: &Scenario) {
     let (report, events) = run(s);
     let shards = s.shards;
@@ -74,13 +72,9 @@ fn check_invariants(name: &str, s: &Scenario) {
         "{name} {shards} shards: only {total_committed} commits"
     );
 
-    // (2) + (3) The shared analysis checkers (the same ones the fuzzer's
-    // oracles run): exactly-once commitment per request id, and every
-    // commit in the shard the router assigned.
+    // (2) The shared analysis checker (the same one the fuzzer's oracle
+    // runs): exactly-once commitment per request id.
     analysis::check_exactly_once(&events, n)
-        .unwrap_or_else(|e| panic!("{name} {shards} shards: {e}"));
-    let router = s.router.build(shards).unwrap();
-    analysis::check_no_cross_shard_leakage(&events, n, &router)
         .unwrap_or_else(|e| panic!("{name} {shards} shards: {e}"));
     let ordered = events.iter().any(|ev| {
         matches!(&ev.event, ProtocolEvent::Committed { request_ids, .. } if !request_ids.is_empty())
@@ -116,12 +110,11 @@ fn ct_sharded_invariants_hold() {
     }
 }
 
-/// The explicit-range policy routes and isolates exactly like the hash
-/// policy (same invariants, different key→shard map).
+/// A second seed of the 4-shard CT world keeps both invariants. (The
+/// name is kept from the explicit-range router this test once ran.)
 #[test]
 fn range_router_isolates_shards_too() {
-    let s = world(ProtocolKind::Ct, 4, 91).router(RouterPolicy::EvenRanges);
-    check_invariants("CT/ranges", &s);
+    check_invariants("CT seed 91", &world(ProtocolKind::Ct, 4, 91));
 }
 
 /// Sharded worlds are deterministic end to end: two identical runs
